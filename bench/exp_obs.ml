@@ -1,7 +1,7 @@
 (* E18 — observability overhead.
 
-   The engine's observer hook must be free when no sink is configured:
-   the only cost is one match on an option per recorded event. This
+   The engine's sink hook must be free when nothing is installed: the
+   append path then calls no-op sinks. This
    experiment measures that claim the same way E17 measures the
    parallel contract — on every bench run, not just once. Three
    configurations execute the identical workload (same config, policy
@@ -39,7 +39,8 @@ let one_run ?observer () =
   let b = Scenarios.hybrid_cas ~name:"e18" ~quantum:6 ~layout ~script in
   let inst = b.Hwf_adversary.Explore.make () in
   ignore
-    (Engine.run ~step_limit:4_000_000 ?observer ~config ~policy:(Policy.random ~seed:5)
+    (Engine.run ~step_limit:4_000_000 ?sink:(Option.map Trace.observer observer) ~config
+       ~policy:(Policy.random ~seed:5)
        inst.Hwf_adversary.Explore.programs)
 
 let run ~quick =
@@ -87,7 +88,7 @@ let export ~trace_out ~metrics_out =
     let collector = Hwf_obs.Metrics.collector config in
     let r =
       Engine.run ~step_limit:1_000_000
-        ~observer:(Hwf_obs.Metrics.feed collector)
+        ~sink:(Trace.observer (Hwf_obs.Metrics.feed collector))
         ~config ~policy:Policy.first inst.Hwf_adversary.Explore.programs
     in
     Option.iter

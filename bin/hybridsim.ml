@@ -209,9 +209,9 @@ let run_cmd =
     let b = scenario_of impl cnum quantum layout in
     let config = b.Scenarios.scenario.Explore.config in
     let instance = b.Scenarios.scenario.Explore.make () in
-    (* Metrics are collected live through the engine's observer hook;
-       when no sink is requested, no collector exists and the engine
-       pays a single match per event. *)
+    (* Metrics are collected live through the engine's sink hook; when
+       no metrics file is requested, no collector exists and the engine
+       pays nothing per event. *)
     let collector =
       match metrics_out with
       | None -> None
@@ -219,7 +219,7 @@ let run_cmd =
     in
     let r =
       Engine.run ~step_limit:20_000_000
-        ?observer:(Option.map Hwf_obs.Metrics.feed collector)
+        ?sink:(Option.map (fun c -> Trace.observer (Hwf_obs.Metrics.feed c)) collector)
         ~config ~policy:(make_policy policy seed) instance.Explore.programs
     in
     let wf = Wellformed.check r.trace in
@@ -631,7 +631,8 @@ let cas_cmd =
     let n = List.length layout in
     let script = Scenarios.random_script ~seed ~n ~ops_per:ops in
     let s = Scenarios.hybrid_cas ~name:"cli" ~quantum ~layout ~script in
-    let o = Explore.random_runs ~runs ~step_limit:2_000_000 ~jobs ?grain ~seed s in
+    let o = Explore.sample ~strategy:Randsched.Naive
+              ~runs ~step_limit:2_000_000 ~jobs ?grain ~seed s in
     Fmt.pr "%a@." Explore.pp_outcome o;
     (if trace_out <> None || metrics_out <> None then
        match o.counterexample with
@@ -652,7 +653,7 @@ let cas_cmd =
          in
          let sum =
            Scenarios.run_cas ~step_limit:2_000_000
-             ~observer:(Hwf_obs.Metrics.feed collector)
+             ~sink:(Trace.observer (Hwf_obs.Metrics.feed collector))
              ~quantum ~layout ~script ~policy:(Policy.random ~seed) ()
          in
          Option.iter (fun path -> export_trace path sum.Scenarios.cas_trace) trace_out;
@@ -824,7 +825,7 @@ let faults_cmd =
   in
   (* A cell that never terminates on its own: the step limit is set far
      beyond any wall budget, so only the per-cell deadline (enforced by
-     the engine-observer guard) can stop it. *)
+     the deadline guard on the engine's sink) can stop it. *)
   let livelock_subject () =
     Certify.
       {
@@ -1025,18 +1026,18 @@ let stats_cmd =
       trace_out metrics_out =
     let config = Layout.to_config ~quantum layout in
     let mpp = Config.max_per_processor config in
-    (* One measured run, metrics collected live through the observer
+    (* One measured run, metrics collected live through the sink
        hook, with the algorithm's access-failure tap reported against
        the paper's envelopes (docs/OBSERVABILITY.md maps the symbols). *)
     let collector = Hwf_obs.Metrics.collector config in
-    let observer = Hwf_obs.Metrics.feed collector in
+    let sink = Trace.observer (Hwf_obs.Metrics.feed collector) in
     let metrics, trace, scenario =
       match impl with
       | `Fig5 ->
         let n = List.length layout in
         let script = Scenarios.random_script ~seed ~n ~ops_per:ops in
         let sum =
-          Scenarios.run_cas ~step_limit:8_000_000 ~observer ~quantum ~layout ~script
+          Scenarios.run_cas ~step_limit:8_000_000 ~sink ~quantum ~layout ~script
             ~policy:(make_policy policy seed) ()
         in
         let st = sum.Scenarios.cas_stats in
@@ -1074,7 +1075,7 @@ let stats_cmd =
           Scenarios.hybrid_cas ~name:"stats" ~quantum ~layout ~script )
       | `Fig7 ->
         let sum =
-          Scenarios.run_multi ~step_limit:8_000_000 ~observer ~quantum
+          Scenarios.run_multi ~step_limit:8_000_000 ~sink ~quantum
             ~consensus_number:cnum ~layout ~policy:(make_policy policy seed) ()
         in
         let p = config.Config.processors in

@@ -318,20 +318,22 @@ let backtrack ~dpor ?stats slots =
     prefix.(i) <- c;
     Some prefix
 
-(* ---- parallel fan-out (see docs/PARALLELISM.md) ----
+(* ---- subtree cells (see docs/PARALLELISM.md, docs/ROBUSTNESS.md) ----
 
-   [explore ~jobs] splits the decision tree at depth 0: each top-level
-   candidate index roots an independent subtree, and the sequential DFS
-   runs unchanged inside each one (backtracking is forbidden from
-   crossing slot 0). Because the sequential DFS visits subtree 0 in
-   full, then subtree 1, ... — [backtrack] increments slot 0 only when
-   no deeper slot has unexplored siblings — concatenating the per-subtree
-   results in index order reproduces the sequential run order exactly,
-   which is what makes the merged outcome bit-identical to [~jobs:1]
-   whenever the search completes within [max_runs]. Sleep sets do not
-   disturb this: they are recomputed from the prefix alone, so subtree
-   [i]'s pruning is identical whether it runs on the caller's domain
-   after subtree [i-1] or on a stolen chunk of a pool worker. *)
+   [explore] always splits the decision tree at depth 0, even at
+   [jobs = 1]: each top-level candidate index roots an independent
+   subtree — one cell of the domain pool, of the per-cell deadline and
+   of the checkpoint journal — and the sequential DFS runs unchanged
+   inside each one (backtracking is forbidden from crossing slot 0).
+   Because the sequential DFS visits subtree 0 in full, then subtree 1,
+   ... — [backtrack] increments slot 0 only when no deeper slot has
+   unexplored siblings — concatenating the per-subtree results in index
+   order reproduces the sequential run order exactly, at every [jobs]
+   and [grain], whenever the search completes within [max_runs]. Sleep
+   sets do not disturb this: they are recomputed from the prefix alone,
+   so subtree [i]'s pruning is identical whether it runs on the
+   caller's domain after subtree [i-1], on a stolen chunk of a pool
+   worker, or after a resume. *)
 
 let tainted_msg =
   "Explore.explore: the program read the global statement clock (Eff.now) on \
@@ -344,13 +346,16 @@ let tainted_msg =
 type subtree = { sruns : int; sexhaustive : bool; scx : counterexample option }
 
 (* DFS from [start], restricted to the top-level branch [root] (when
-   given): a backtrack prefix whose slot 0 differs means the subtree is
+   given): a prefix whose slot 0 differs means the subtree is
    exhausted. [claim] is the global max_runs budget — one claim per run,
    so the total number of engine runs across all domains never exceeds
    [max_runs]. [aborted] lets a worker retire once a lower-indexed
-   subtree (earlier in canonical order) has found a counterexample. *)
-let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_depth
-    ~step_limit ~on_step_limit ~root ?arena scenario start =
+   subtree (earlier in canonical order) has found a counterexample, or
+   the search is stopped. A run that reads the global clock under
+   pruning sets [taint] and retires the subtree: the relation is invalid
+   for the whole search, which [explore] then refuses. *)
+let subtree_dfs ~dpor ~relation ~claim ~aborted ~taint ~stats ~preemption_bound
+    ~max_depth ~step_limit ~on_step_limit ~root ~arena scenario start =
   let runs = ref 0 in
   let exhaustive = ref true in
   let in_subtree prefix =
@@ -365,20 +370,21 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_de
       let instance = scenario.make () in
       let result, slots, truncated, tainted, blocked =
         run_one ~dpor ~relation ~preemption_bound ~max_depth ~step_limit
-          ~config:scenario.config ?arena instance prefix
+          ~config:scenario.config ~arena instance prefix
       in
-      if tainted && dpor then invalid_arg tainted_msg;
       if truncated then exhaustive := false;
-      if blocked then begin
+      if tainted && dpor then begin
+        Atomic.set taint true;
+        { sruns = !runs; sexhaustive = false; scx = None }
+      end
+      else if blocked then begin
         (* Source-set prune: the prefix ran into a fully-slept decision
            point, so every completion of it is Mazurkiewicz-equivalent
            to a schedule in a DFS-earlier subtree. Discard it without a
            verdict check (the run is incomplete by construction) and
            keep backtracking from the decisions gathered so far. *)
         record_source_prune stats;
-        match backtrack ~dpor ?stats slots with
-        | Some prefix when in_subtree prefix -> loop prefix
-        | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None }
+        next slots
       end
       else begin
         incr runs;
@@ -386,35 +392,25 @@ let subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound ~max_de
         match verdict ~on_step_limit instance result with
         | Error message ->
           let decisions = List.map (fun s -> s.pid) (Vec.to_list slots) in
-          Option.iter sever arena;
+          sever arena;
           {
             sruns = !runs;
             sexhaustive = false;
             scx = Some { message; trace = result.trace; decisions };
           }
-        | Ok () -> (
-          match backtrack ~dpor ?stats slots with
-          | Some prefix when in_subtree prefix -> loop prefix
-          | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None })
+        | Ok () -> next slots
       end
     end
+  and next slots = continue_from (backtrack ~dpor ?stats slots)
+  and continue_from = function
+    | Some prefix when in_subtree prefix -> loop prefix
+    | Some _ | None -> { sruns = !runs; sexhaustive = !exhaustive; scx = None }
   in
-  loop start
+  continue_from start
 
 let rec atomic_min a v =
   let cur = Atomic.get a in
   if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-(* Legacy (non-checkpointed) searches run as one completed unit; their
-   coverage is trivially full. Real per-cell accounting belongs to the
-   checkpointed path below. *)
-let outcome_of st =
-  {
-    runs = st.sruns;
-    exhaustive = st.sexhaustive;
-    counterexample = st.scx;
-    coverage = Resil.full_coverage 1;
-  }
 
 (* Pruning is requested by default but only armed when the relation is
    valid: never under a preemption bound (the candidate lists are then
@@ -429,162 +425,16 @@ let outcome_of st =
 let dpor_requested ~dpor ~preemption_bound scenario =
   dpor && preemption_bound = None && Config.n scenario.config <= max_sleep_pids
 
-let explore_plain ?preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit
-    ~jobs ~grain ~dpor ~relation ?stats scenario =
-  let claimed = Atomic.make 0 in
-  let claim () =
-    Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
-  in
-  let never_aborted () = false in
-  if not (claim ()) then
-    {
-      runs = 0;
-      exhaustive = false;
-      counterexample = None;
-      coverage = Resil.full_coverage 1;
-    }
-  else begin
-    let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
-    (* Probe: canonical run #1 (the all-zeros schedule — sleep sets are
-       empty along the all-defaults path, so this is the same schedule
-       with pruning armed or not). It reveals the top-level width and
-       whether the scenario reads the global clock. *)
-    let arena0 = make_arena () in
-    let instance = scenario.make () in
-    let result, slots, probe_truncated, probe_tainted, _ =
-      run_one ~dpor:dpor_req ~relation ~preemption_bound ~max_depth ~step_limit
-        ~config:scenario.config ~arena:arena0 instance [||]
-    in
-    record_run stats slots;
-    let dpor = dpor_req && not probe_tainted in
-    let dfs =
-      subtree_dfs ~dpor ~relation ~stats ~preemption_bound ~max_depth ~step_limit
-        ~on_step_limit
-    in
-    match verdict ~on_step_limit instance result with
-    | Error message ->
-      let decisions = List.map (fun s -> s.pid) (Vec.to_list slots) in
-      sever arena0;
-      {
-        runs = 1;
-        exhaustive = false;
-        counterexample = Some { message; trace = result.trace; decisions };
-        coverage = Resil.full_coverage 1;
-      }
-    | Ok () -> (
-      let width = if Vec.length slots = 0 then 0 else (Vec.get slots 0).candidates in
-      let continuation = backtrack ~dpor ?stats slots in
-      if jobs <= 1 || width <= 1 then
-        (* No fan-out: finish the DFS on the calling domain. *)
-        match continuation with
-        | None ->
-          {
-            runs = 1;
-            exhaustive = not probe_truncated;
-            counterexample = None;
-            coverage = Resil.full_coverage 1;
-          }
-        | Some prefix ->
-          let st =
-            dfs ~claim ~aborted:never_aborted ~root:None ~arena:arena0 scenario
-              prefix
-          in
-          outcome_of
-            {
-              st with
-              sruns = st.sruns + 1;
-              sexhaustive = st.sexhaustive && not probe_truncated;
-            }
-      else begin
-        (* Lowest subtree index with a counterexample so far: workers on
-           canonically-later subtrees retire early (their results are
-           discarded by the merge anyway, exactly as the sequential DFS
-           never reaches them). *)
-        let best = Atomic.make max_int in
-        let run_subtree arena i =
-          let aborted () = Atomic.get best < i in
-          let st =
-            if i = 0 then
-              (* The probe was subtree 0's first run; continue after it. *)
-              match continuation with
-              | Some p when p.(0) = 0 ->
-                let st = dfs ~claim ~aborted ~root:(Some 0) ~arena scenario p in
-                {
-                  st with
-                  sruns = st.sruns + 1;
-                  sexhaustive = st.sexhaustive && not probe_truncated;
-                }
-              | Some _ | None ->
-                { sruns = 1; sexhaustive = not probe_truncated; scx = None }
-            else dfs ~claim ~aborted ~root:(Some i) ~arena scenario [| i |]
-          in
-          (match st.scx with Some _ -> atomic_min best i | None -> ());
-          st
-        in
-        let results =
-          Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-            ~make:make_arena run_subtree
-            (Array.init width Fun.id)
-        in
-        (* Canonical merge: walk subtrees in index order — the order the
-           sequential DFS visits them — summing run counts until the
-           first counterexample; later subtrees' work is discarded. *)
-        let total = ref 0 and exhaustive = ref true and cx = ref None in
-        (try
-           Array.iter
-             (fun st ->
-               total := !total + st.sruns;
-               if not st.sexhaustive then exhaustive := false;
-               match st.scx with
-               | Some c ->
-                 cx := Some c;
-                 raise Exit
-               | None -> ())
-             results
-         with Exit -> ());
-        {
-          runs = !total;
-          exhaustive = !exhaustive && !cx = None;
-          counterexample = !cx;
-          coverage = Resil.full_coverage 1;
-        }
-      end)
-  end
-
-(* ---- checkpointed exploration (see docs/ROBUSTNESS.md) ----
-
-   With a checkpoint the search is always decomposed into top-level
-   subtrees — the journal's cells — even at [jobs = 1], because the
-   subtree is the unit of resume. Subtree [i] runs the DFS from prefix
-   [|i|], whose first run is exactly the schedule the sequential DFS
-   reaches when it first enters that subtree, so a clean completed
-   campaign merges to the plain outcome run for run. Grain only groups
-   subtree cells for distribution — the journal stays per subtree, so a
-   resumed campaign is byte-identical at every grain. *)
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix and ns = String.length s in
-  if ns >= np && String.sub s 0 np = prefix then Some (String.sub s np (ns - np))
-  else None
-
-let index_of_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
-  in
-  go 0
-
 (* [msg] is last: counterexample messages may contain any character
    (the journal layer JSON-escapes; this layer only needs an
-   unambiguous last field). The schedule is the raw 0-based pid
-   sequence, space-separated. *)
+   unambiguous last field). *)
 let payload_of_subtree st =
   match st.scx with
   | None ->
     Printf.sprintf "runs=%d;exh=%d;cx=none" st.sruns (if st.sexhaustive then 1 else 0)
   | Some c ->
     Printf.sprintf "runs=%d;exh=0;cx=%s;msg=%s" st.sruns
-      (String.concat " " (List.map string_of_int c.decisions))
+      (Checkpoint.pids_to_string c.decisions)
       c.message
 
 (* A restored counterexample's trace is reconstructed by replaying its
@@ -598,34 +448,19 @@ let replay_decisions ~step_limit scenario decisions message =
 
 let subtree_of_payload ~step_limit scenario payload =
   let ( let* ) = Option.bind in
-  let int_kv key part =
-    Option.bind (strip_prefix ~prefix:(key ^ "=") part) int_of_string_opt
-  in
-  let* mi = index_of_sub payload ";cx=" in
-  let tail = String.sub payload (mi + 4) (String.length payload - mi - 4) in
+  let* counts, cx = Checkpoint.cut ~sep:";cx=" payload in
   let* sruns, sexh =
-    match String.split_on_char ';' (String.sub payload 0 mi) with
+    match String.split_on_char ';' counts with
     | [ r; e ] ->
-      let* r = int_kv "runs" r in
-      let* e = int_kv "exh" e in
+      let* r = Checkpoint.int_field ~key:"runs" r in
+      let* e = Checkpoint.int_field ~key:"exh" e in
       Some (r, e = 1)
     | _ -> None
   in
-  if tail = "none" then Some { sruns; sexhaustive = sexh; scx = None }
+  if cx = "none" then Some { sruns; sexhaustive = sexh; scx = None }
   else
-    let* mi = index_of_sub tail ";msg=" in
-    let message = String.sub tail (mi + 5) (String.length tail - mi - 5) in
-    let sched = String.sub tail 0 mi in
-    let* decisions =
-      List.fold_left
-        (fun acc p ->
-          let* acc = acc in
-          let* v = int_of_string_opt p in
-          Some (v :: acc))
-        (Some [])
-        (if sched = "" then [] else String.split_on_char ' ' sched)
-      |> Option.map List.rev
-    in
+    let* sched, message = Checkpoint.cut ~sep:";msg=" cx in
+    let* decisions = Checkpoint.pids_of_string sched in
     Some
       {
         sruns;
@@ -648,17 +483,38 @@ let campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_lim
   in
   Printf.sprintf "explore/%s/%s" scenario.name (Digest.to_hex (Digest.string params))
 
-let explore_checkpointed ~preemption_bound ~max_runs ~max_depth ~step_limit
-    ~on_step_limit ~jobs ~grain ~dpor ~relation ~stats ~cell_wall_s ~path ~resume
-    ~should_stop scenario =
-  (* Structural probe: discovers the top-level width and the clock-read
-     taint that decides pruning. Uncounted and unrecorded — subtree 0
-     re-runs this schedule as its first run. *)
+(* Journaled subtrees, by index; empty without a journal. *)
+let open_journal ~step_limit ~campaign ~width ~resume scenario = function
+  | None -> (None, Hashtbl.create 1)
+  | Some path -> (
+    match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
+    | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
+    | Ok (journal, entries) ->
+      let restored = Hashtbl.create 8 in
+      List.iter
+        (fun (e : Checkpoint.entry) ->
+          if e.idx >= 0 && e.idx < width then
+            match subtree_of_payload ~step_limit scenario e.payload with
+            | Some st -> Hashtbl.replace restored e.idx st
+            | None -> ())
+        entries;
+      (Some journal, restored))
+
+let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
+    ?(step_limit = 100_000) ?(on_step_limit = `Fail) ?(jobs = 1) ?grain
+    ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
+    ?(resume = false) ?(should_stop = fun () -> false) scenario =
+  (* Probe: the canonical first (all-zeros) schedule — sleep sets are
+     empty along the all-defaults path, so this is the same schedule
+     with pruning armed or not. It reveals the top-level width and
+     whether the scenario reads the global clock, and it is subtree 0's
+     first run unless the journal restores subtree 0. *)
   let dpor_req = dpor_requested ~dpor ~preemption_bound scenario in
+  let arena0 = make_arena () in
   let probe_inst = scenario.make () in
-  let _, probe_slots, _, probe_tainted, _ =
+  let probe, probe_slots, probe_truncated, probe_tainted, _ =
     run_one ~dpor:dpor_req ~relation ~preemption_bound ~max_depth ~step_limit
-      ~config:scenario.config probe_inst [||]
+      ~config:scenario.config ~arena:arena0 probe_inst [||]
   in
   let dpor = dpor_req && not probe_tainted in
   let width =
@@ -668,105 +524,124 @@ let explore_checkpointed ~preemption_bound ~max_runs ~max_depth ~step_limit
     campaign_id ~dpor ~relation ~preemption_bound ~max_runs ~max_depth ~step_limit
       ~on_step_limit scenario
   in
-  match Checkpoint.open_ ~path ~campaign ~cells:width ~resume with
-  | Error msg -> invalid_arg ("Explore.explore: " ^ msg)
-  | Ok (journal, entries) ->
-    let restored = Hashtbl.create 8 in
-    List.iter
-      (fun (e : Checkpoint.entry) ->
-        if e.idx >= 0 && e.idx < width then
-          match subtree_of_payload ~step_limit scenario e.payload with
-          | Some st -> Hashtbl.replace restored e.idx st
-          | None -> ())
-      entries;
-    (* Seed the global budget with the journaled work, so the resumed
-       search claims only the remaining runs. *)
-    let already = Hashtbl.fold (fun _ st acc -> acc + st.sruns) restored 0 in
-    let claimed = Atomic.make already in
-    let claim () =
-      Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
+  let journal, restored =
+    open_journal ~step_limit ~campaign ~width ~resume scenario checkpoint
+  in
+  (* Seed the global budget with the journaled work, so a resumed
+     search claims only the remaining runs. *)
+  let already = Hashtbl.fold (fun _ st acc -> acc + st.sruns) restored 0 in
+  let claimed = Atomic.make already in
+  let claim () =
+    Atomic.get claimed < max_runs && Atomic.fetch_and_add claimed 1 < max_runs
+  in
+  (* The probe as subtree 0's first run, judged here, before the fan-out
+     reuses its arena: [Error] is a counterexample, [Ok] the prefix the
+     DFS continues from. *)
+  let head =
+    if Hashtbl.mem restored 0 || not (claim ()) then None
+    else begin
+      record_run stats probe_slots;
+      match verdict ~on_step_limit probe_inst probe with
+      | Error message ->
+        let decisions = List.map (fun s -> s.pid) (Vec.to_list probe_slots) in
+        sever arena0;
+        Some (Error { message; trace = probe.trace; decisions })
+      | Ok () -> Some (Ok (backtrack ~dpor ?stats probe_slots))
+    end
+  in
+  (* Lowest subtree index with a counterexample so far: workers on
+     canonically-later subtrees retire early (their results are
+     discarded by the merge anyway, exactly as the sequential DFS never
+     reaches them). *)
+  let best = Atomic.make (match head with Some (Error _) -> 0 | _ -> max_int) in
+  let taint = Atomic.make false in
+  let stopped () = should_stop () || Resil.interrupted () in
+  let eval arena i deadline =
+    let aborted () =
+      Atomic.get best < i || Atomic.get taint || stopped ()
+      (* Watchdog demotion: an expired deadline retires the subtree
+         with a partial, non-exhaustive result instead of hanging. *)
+      || Resil.expired deadline
     in
-    let best = Atomic.make max_int in
-    let eval arena i deadline =
-      let aborted () =
-        Atomic.get best < i || should_stop () || Resil.interrupted ()
-        (* Watchdog demotion: an expired deadline retires the subtree
-           with a partial, non-exhaustive result instead of hanging. *)
-        || Resil.expired deadline
-      in
-      let root = if width <= 1 then None else Some i in
-      let start = if width <= 1 then [||] else [| i |] in
-      let st =
-        subtree_dfs ~dpor ~relation ~claim ~aborted ~stats ~preemption_bound
-          ~max_depth ~step_limit ~on_step_limit ~root ~arena scenario start
-      in
-      (match st.scx with Some _ -> atomic_min best i | None -> ());
-      (* Journal only untainted cells: a cell cut short by an interrupt
-         or stop request must re-run on resume, not restore partial. *)
-      if not (should_stop () || Resil.interrupted ()) then
-        Checkpoint.record journal ~idx:i
-          ~key:(Printf.sprintf "subtree-%d" i)
-          ~payload:(payload_of_subtree st);
-      st
+    let root = if width <= 1 then None else Some i in
+    let dfs =
+      subtree_dfs ~dpor ~relation ~claim ~aborted ~taint ~stats ~preemption_bound
+        ~max_depth ~step_limit ~on_step_limit ~root ~arena scenario
     in
-    let deadline_for ~attempt:_ =
-      match cell_wall_s with
-      | None -> Resil.no_deadline
-      | Some s -> Resil.deadline ~wall_s:s ()
+    let st =
+      match (i, head) with
+      | 0, Some (Error cx) -> { sruns = 1; sexhaustive = false; scx = Some cx }
+      | 0, Some (Ok next) ->
+        let st = dfs next in
+        { st with sruns = st.sruns + 1; sexhaustive = st.sexhaustive && not probe_truncated }
+      | _ -> dfs (Some (if width <= 1 then [||] else [| i |]))
     in
-    let cells =
-      Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-        ~make:make_arena
-        (fun arena i ->
-          match Hashtbl.find_opt restored i with
-          | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
-          | None ->
-            if Resil.interrupted () || should_stop () then
-              { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-            else Resil.run_cell ~retry:Resil.no_retry ~deadline_for (eval arena i))
-        (Array.init width Fun.id)
-    in
-    Checkpoint.close journal;
-    (* Canonical merge, stopping at the first cell without a result: a
-       counterexample found after a gap cannot be called canonical, so
-       the gap truncates the merge and coverage reports the rest. *)
-    let total = ref 0 and exhaustive = ref true and cx = ref None in
-    (try
-       Array.iter
-         (fun cell ->
-           match cell.Resil.outcome with
-           | Resil.Ok_cell st -> (
-             total := !total + st.sruns;
-             if not st.sexhaustive then exhaustive := false;
-             match st.scx with
-             | Some c ->
-               cx := Some c;
-               raise Exit
-             | None -> ())
-           | Resil.Timed_out _ | Resil.Errored _ | Resil.Skipped _ ->
-             exhaustive := false;
-             raise Exit)
-         cells
-     with Exit -> ());
-    {
-      runs = !total;
-      exhaustive = !exhaustive && !cx = None;
-      counterexample = !cx;
-      coverage = Resil.coverage_of_cells cells;
-    }
-
-let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
-    ?(step_limit = 100_000) ?(on_step_limit = `Fail) ?(jobs = 1) ?grain
-    ?(dpor = true) ?(relation = base_relation) ?stats ?cell_wall_s ?checkpoint
-    ?(resume = false) ?(should_stop = fun () -> false) scenario =
-  match checkpoint with
-  | None ->
-    explore_plain ?preemption_bound ~max_runs ~max_depth ~step_limit ~on_step_limit
-      ~jobs ~grain ~dpor ~relation ?stats scenario
-  | Some path ->
-    explore_checkpointed ~preemption_bound ~max_runs ~max_depth ~step_limit
-      ~on_step_limit ~jobs ~grain ~dpor ~relation ~stats ~cell_wall_s ~path ~resume
-      ~should_stop scenario
+    (match st.scx with Some _ -> atomic_min best i | None -> ());
+    (* Journal only untainted cells: a cell cut short by an interrupt
+       or stop request must re-run on resume, not restore partial. *)
+    if not (stopped () || Atomic.get taint) then
+      Option.iter
+        (fun j ->
+          Checkpoint.record j ~idx:i
+            ~key:(Printf.sprintf "subtree-%d" i)
+            ~payload:(payload_of_subtree st))
+        journal;
+    st
+  in
+  let deadline_for ~attempt:_ =
+    match cell_wall_s with
+    | None -> Resil.no_deadline
+    | Some s -> Resil.deadline ~wall_s:s ()
+  in
+  (* The calling domain's worker reuses the probe's arena. *)
+  let caller = Domain.self () in
+  let make () = if Domain.self () = caller then arena0 else make_arena () in
+  let cells =
+    Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats) ~make
+      (fun arena i ->
+        match Hashtbl.find_opt restored i with
+        | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
+        | None -> (
+          if stopped () then { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
+          else
+            match Resil.run_cell ~retry:Resil.no_retry ~deadline_for (eval arena i) with
+            (* A subtree the stop request cut short has no result of
+               its own (only a counterexample stands), so it must not
+               count as done. *)
+            | { Resil.outcome = Resil.Ok_cell { scx = None; _ }; attempts } when stopped () ->
+              { Resil.outcome = Resil.Skipped "interrupted"; attempts }
+            | cell -> cell))
+      (Array.init width Fun.id)
+  in
+  Option.iter Checkpoint.close journal;
+  if Atomic.get taint then invalid_arg tainted_msg;
+  (* Canonical merge, stopping at the first cell without a result: a
+     counterexample found after a gap cannot be called canonical, so
+     the gap truncates the merge and coverage reports the rest. *)
+  let total = ref 0 and exhaustive = ref true and cx = ref None in
+  (try
+     Array.iter
+       (fun cell ->
+         match cell.Resil.outcome with
+         | Resil.Ok_cell st -> (
+           total := !total + st.sruns;
+           if not st.sexhaustive then exhaustive := false;
+           match st.scx with
+           | Some c ->
+             cx := Some c;
+             raise Exit
+           | None -> ())
+         | Resil.Timed_out _ | Resil.Errored _ | Resil.Skipped _ ->
+           exhaustive := false;
+           raise Exit)
+       cells
+   with Exit -> ());
+  {
+    runs = !total;
+    exhaustive = !exhaustive && !cx = None;
+    counterexample = !cx;
+    coverage = Resil.coverage_of_cells cells;
+  }
 
 let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
     ?(step_limit = 100_000) scenario ~f =
@@ -797,27 +672,13 @@ let iter_schedules ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
    regression test that adjacent campaign seeds stay disjoint. *)
 let run_seed = Randsched.mix
 
-(* Wrap a policy so the decisions it takes (the schedule) are recorded:
-   a sampled counterexample then carries a replayable decision list and
-   flows through the ordinary [Schedule]/[Shrink] pipeline. *)
-let record_decisions policy decisions =
-  Policy.of_factory policy.Policy.name (fun () ->
-      let choose = Policy.prepare policy in
-      fun view ->
-        match choose view with
-        | Some pid as r ->
-          decisions := pid :: !decisions;
-          r
-        | None -> None)
-
 let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
     ?(jobs = 1) ?grain ?stats ?runner ~strategy ~seed scenario =
   (* Run [i] is fully determined by [run_seed seed i] (a splitmix-style
      hash — the earlier [seed + i] scheme made adjacent campaign seeds
      share all but one of their runs), so the cells are independent and
-     the parallel merge is by index: the reported counterexample is the
-     lowest-index failure, exactly the one the sequential loop stops
-     at. *)
+     the merge is by index: the reported counterexample is the
+     lowest-index failure at every [jobs]. *)
   let profile, horizon =
     (* SURW weights candidates by estimated remaining statements and PCT
        draws change points over a schedule-length horizon; both
@@ -837,11 +698,13 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
   in
   let one arena i =
     let instance = scenario.make () in
+    (* Recording the decisions makes a sampled counterexample a
+       replayable schedule for the ordinary [Schedule]/[Shrink]
+       pipeline. *)
     let decisions = ref [] in
     let policy =
-      record_decisions
-        (Randsched.policy ?horizon ?profile strategy
-           ~seed:(run_seed seed i))
+      Policy.recording
+        (Randsched.policy ?horizon ?profile strategy ~seed:(run_seed seed i))
         decisions
     in
     let result =
@@ -859,66 +722,40 @@ let sample ?(runs = 1_000) ?(step_limit = 100_000) ?(on_step_limit = `Fail)
       Some { message; trace = result.trace; decisions = List.rev !decisions }
     | Ok () -> None
   in
-  if jobs <= 1 then begin
-    let arena = make_arena () in
-    let rec loop i =
-      if i >= runs then
-        {
-          runs = i;
-          exhaustive = false;
-          counterexample = None;
-          coverage = Resil.full_coverage 1;
-        }
-      else
-        match one arena i with
-        | Some cx ->
-          {
-            runs = i + 1;
-            exhaustive = false;
-            counterexample = Some cx;
-            coverage = Resil.full_coverage 1;
-          }
-        | None -> loop (i + 1)
-    in
-    loop 0
-  end
-  else begin
-    let best = Atomic.make max_int in
-    let cell arena i =
-      (* Cells canonically after a known failure are skipped; cells
-         before it still run, so the minimum failing index is exact. *)
-      if Atomic.get best < i then None
+  (* A pool cell is a block of [grain] consecutive runs, run in index
+     order until its first failure — at [jobs = 1] the whole campaign is
+     one block, run inline. Runs canonically after a known failure are
+     skipped; runs before it still run, so the minimum failing index is
+     exact. *)
+  let grain =
+    match grain with
+    | Some g when g < 1 -> invalid_arg "Explore.sample: grain must be >= 1"
+    | Some g -> g
+    | None -> Hwf_par.Pool.auto_grain ~n:runs ~jobs
+  in
+  let best = Atomic.make max_int in
+  let block arena b =
+    let hi = min runs ((b + 1) * grain) in
+    let rec go i =
+      if i >= hi || Atomic.get best < i then None
       else
         match one arena i with
         | Some cx ->
           atomic_min best i;
-          Some cx
-        | None -> None
+          Some (i, cx)
+        | None -> go (i + 1)
     in
-    let results =
-      Hwf_par.Pool.map_scratch ~jobs ?grain ?stats:(pool_of stats)
-        ~make:make_arena cell (Array.init runs Fun.id)
-    in
-    let hit = ref None in
-    Array.iteri
-      (fun i r -> if !hit = None && r <> None then hit := Some (i, Option.get r))
-      results;
-    match !hit with
-    | Some (i, cx) ->
-      {
-        runs = i + 1;
-        exhaustive = false;
-        counterexample = Some cx;
-        coverage = Resil.full_coverage 1;
-      }
-    | None ->
-      { runs; exhaustive = false; counterexample = None; coverage = Resil.full_coverage 1 }
-  end
-
-let random_runs ?runs ?step_limit ?on_step_limit ?jobs ?grain ?stats ~seed
-    scenario =
-  sample ?runs ?step_limit ?on_step_limit ?jobs ?grain ?stats
-    ~strategy:Randsched.Naive ~seed scenario
+    go (b * grain)
+  in
+  let blocks = if runs <= 0 then 0 else ((runs - 1) / grain) + 1 in
+  let results =
+    Hwf_par.Pool.map_scratch ~jobs ~grain:1 ?stats:(pool_of stats) ~make:make_arena block
+      (Array.init blocks Fun.id)
+  in
+  let coverage = Resil.full_coverage 1 in
+  match Array.find_map Fun.id results with
+  | Some (i, cx) -> { runs = i + 1; exhaustive = false; counterexample = Some cx; coverage }
+  | None -> { runs = max 0 runs; exhaustive = false; counterexample = None; coverage }
 
 (* Exact (Clopper–Pearson-style) confidence interval on
    schedules-to-first-bug from a geometric observation: the first bug at

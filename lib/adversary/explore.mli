@@ -104,10 +104,10 @@ type outcome = {
           transitions, which preserves every verdict). *)
   counterexample : counterexample option;
   coverage : Hwf_resil.Resil.coverage;
-      (** Harness-level accounting (see [docs/ROBUSTNESS.md]). Plain
-          searches run as one completed unit and report full coverage;
-          checkpointed searches report per-subtree cells, so an
-          interrupted or degraded campaign is visibly partial. *)
+      (** Harness-level accounting (see [docs/ROBUSTNESS.md]). {!explore}
+          reports one cell per top-level subtree, so an interrupted or
+          degraded search is visibly partial; {!sample} runs as one
+          completed unit and reports full coverage. *)
 }
 
 type stats
@@ -153,10 +153,20 @@ val stats_source_prunes : stats -> int
     scenarios and with [~dpor:false]. *)
 
 val stats_sampled : stats -> int
-(** Engine runs performed by {!sample} (and {!random_runs}) — the
-    sampling analogue of the subtree run counts. *)
+(** Engine runs performed by {!sample} — the sampling analogue of the
+    subtree run counts. *)
 
 val stats_pool : stats -> Hwf_par.Pool.stats
+
+val verdict :
+  on_step_limit:[ `Fail | `Ignore ] ->
+  instance ->
+  Hwf_sim.Engine.result ->
+  (unit, string) result
+(** The judgement every explored or sampled run gets: the trace must be
+    well-formed ({!Hwf_sim.Wellformed}), a [Step_limit] or
+    [Decision_limit] stop is a failure under [on_step_limit = `Fail],
+    and then the instance's own [check] decides. *)
 
 val explore :
   ?preemption_bound:int ->
@@ -205,7 +215,7 @@ val explore :
     prefix, so pruning commutes with the fan-out and the identity holds
     with [dpor] on. [grain] sets the pool's cells-per-claim (default
     automatic; subtree cells are coarse, so the default resolves to 1
-    here — the knob matters for {!random_runs}). Workers reuse
+    here — the knob matters for {!sample}). Workers reuse
     per-domain scratch arenas (trace and decision buffers) across runs;
     this is invisible in results. The [max_runs] budget is claimed from
     one global atomic counter, one claim per engine run, so the total
@@ -214,24 +224,31 @@ val explore :
     [exhaustive = false] just as the sequential search does, but the
     truncation point (and so [runs]) may differ.
 
-    Resilience (see [docs/ROBUSTNESS.md]): [checkpoint] journals each
-    completed top-level subtree to an [hwf-ckpt/1] file, and forces the
-    subtree decomposition even at [jobs = 1] (the subtree is the unit
-    of resume; subtree [i]'s first run is exactly the schedule the
-    sequential DFS reaches on entering it, so a clean completed
-    campaign merges to the plain outcome run for run; the journal stays
-    per subtree at every [grain]). With [resume = true] journaled
-    subtrees are restored instead of re-run — their run counts re-seed
-    the [max_runs] budget and a restored counterexample's trace is
-    rebuilt by replaying its decisions — and the journal must match the
-    campaign (same scenario name, search bounds, and armed [dpor]) or
-    the call raises [Invalid_argument]. [cell_wall_s] gives
-    each subtree a wall-clock budget; an expired subtree is {e demoted}
-    (retired with a partial, non-exhaustive result) rather than hung.
-    [should_stop] (polled between runs, ORed with
-    {!Hwf_resil.Resil.interrupted}) stops the search cooperatively;
-    cells cut short by it are not journaled, so a resume re-runs them
-    in full. *)
+    Resilience (see [docs/ROBUSTNESS.md]) works the same with or
+    without a journal, because the search always runs as one cell per
+    top-level subtree, even at [jobs = 1] (subtree [i]'s first run is
+    exactly the schedule the sequential DFS reaches on entering it, so
+    the merged cells reproduce the sequential DFS run for run).
+    [cell_wall_s] gives each subtree a wall-clock budget; an expired
+    subtree is {e demoted} (retired with a partial, non-exhaustive
+    result) rather than hung. [should_stop] (polled between runs, ORed
+    with {!Hwf_resil.Resil.interrupted}) stops the search cooperatively:
+    subtrees it cuts short or that had not started are reported as
+    skipped in [coverage] (a counterexample already found stands).
+    An exception escaping a subtree's runs (a process body, [make] or
+    [check] raising) is contained as an errored cell in [coverage]; an
+    exception in the probe — the canonical first run, made before the
+    fan-out — propagates.
+
+    [checkpoint] only adds the journal: each completed subtree is
+    appended to an [hwf-ckpt/1] file (per subtree at every [grain]).
+    With [resume = true] journaled subtrees are restored instead of
+    re-run — their run counts re-seed the [max_runs] budget and a
+    restored counterexample's trace is rebuilt by replaying its
+    decisions — and the journal must match the campaign (same scenario
+    name, search bounds, and armed [dpor]) or the call raises
+    [Invalid_argument]. Subtrees cut short by [should_stop] or an
+    interrupt are not journaled, so a resume re-runs them in full. *)
 
 val iter_schedules :
   ?preemption_bound:int ->
@@ -241,11 +258,12 @@ val iter_schedules :
   scenario ->
   f:(pids:Hwf_sim.Proc.pid list -> Hwf_sim.Engine.result -> [ `Continue | `Stop ]) ->
   int
-(** Lower-level driver underlying [explore]: enumerates schedules in the
-    same DFS order and hands each completed run (with its decision path)
-    to [f]. Returns the number of runs performed. Deliberately unpruned
-    — callers ({!Bivalence}) reason about the full enumeration. Used by
-    {!Bivalence}. *)
+(** An independent single-loop enumeration of the schedules [explore]
+    visits, in the same DFS order: hands each completed run (with its
+    decision path) to [f] and returns the number of runs performed.
+    Deliberately unpruned — callers ({!Bivalence}) reason about the full
+    enumeration — and the reference the tests check [explore ~dpor:false]
+    against. *)
 
 val run_seed : int -> int -> int
 (** [run_seed seed i] is the seed of run [i] of sampling campaign
@@ -269,12 +287,13 @@ val sample :
     complement to [explore] for configurations too large to enumerate,
     parametric in the {!Randsched.strategy} (docs/SAMPLING.md). Run [i]
     uses seed [run_seed seed i], so runs are independent cells: with
-    [jobs > 1] they are distributed over a domain pool and the reported
-    counterexample is the lowest-index failure — the same one the
-    sequential loop stops at, with the same [runs] count, byte-identical
-    across [jobs]/[grain]. These cells are micro-cells (one engine run
-    each), so [grain] matters here: the default chunks hundreds of runs
-    per claim ([docs/PARALLELISM.md] has the tuning guide).
+    [jobs > 1] they are distributed over a domain pool ([jobs = 1] runs
+    them inline, in index order) and the reported counterexample is the
+    lowest-index failure, with the same [runs] count, byte-identical
+    across [jobs]/[grain]. Runs are micro-cells (one engine run each),
+    so [grain] matters here: one pool claim takes a block of [grain]
+    consecutive runs — by default hundreds, and the whole campaign at
+    [jobs = 1] ([docs/PARALLELISM.md] has the tuning guide).
 
     [outcome.runs] is the number of schedules to the first bug when a
     counterexample is reported ({!stf_ci} turns it into an interval),
@@ -291,7 +310,8 @@ val sample :
     [Hwf_faults.Inject.run] with a fault plan); it must execute
     [instance.programs] under exactly the given policy and step limit,
     freshly per call. Default: a plain [Engine.run] with per-worker
-    scratch traces. *)
+    scratch traces.
+    @raise Invalid_argument if [grain < 1]. *)
 
 val stf_ci : ?level:float -> outcome -> float * float
 (** Exact confidence interval (default [level] 0.95) on the expected
@@ -299,17 +319,5 @@ val stf_ci : ?level:float -> outcome -> float * float
     geometric likelihood of the observation. First bug at run [k]:
     two-sided interval around [k]; no bug in [n] runs: one-sided
     [(lo, infinity)] ("rule of three"). *)
-
-val random_runs :
-  ?runs:int ->
-  ?step_limit:int ->
-  ?on_step_limit:[ `Fail | `Ignore ] ->
-  ?jobs:int ->
-  ?grain:int ->
-  ?stats:stats ->
-  seed:int ->
-  scenario ->
-  outcome
-(** [sample ~strategy:Randsched.Naive] — uniform random schedules. *)
 
 val pp_outcome : outcome Fmt.t

@@ -34,5 +34,6 @@ val replay :
 (** Runs a fresh instance of the scenario under the schedule. *)
 
 val verdict : ?step_limit:int -> Explore.scenario -> t -> (unit, string) result
-(** Replays and judges: well-formedness, then the scenario's own check.
-    A step-limit stop is an error. *)
+(** Replays and judges with {!Explore.verdict} (step and decision
+    limits are failures), so a replayed schedule gets the explorer's
+    verdict and message. *)

@@ -78,10 +78,10 @@ val judge : subject -> instance -> Engine.result -> verdict
 (** The three-verdict judgement described above, applied to one run. *)
 
 val run_plan :
-  ?observer:(Trace.event -> unit) -> subject -> Plan.t -> verdict * Engine.result * Schedule.t
+  ?sink:Trace.sink -> subject -> Plan.t -> verdict * Engine.result * Schedule.t
 (** One judged run under a plan, with its recorded decision sequence. *)
 
-val replay_judge : ?observer:(Trace.event -> unit) -> subject -> Plan.t -> Schedule.t -> verdict
+val replay_judge : ?sink:Trace.sink -> subject -> Plan.t -> Schedule.t -> verdict
 (** Deterministic re-execution (fresh instance, scripted policy) — the
     predicate behind shrinking. *)
 
@@ -121,7 +121,7 @@ val certify :
 
     Resilience (see [docs/ROBUSTNESS.md]): every plan is one fault-
     contained cell. [cell_wall_s] gives each cell a wall-clock budget,
-    enforced inside its engine runs via the observer hook and between
+    enforced inside its engine runs via the sink hook and between
     shrink replays — a livelocked cell becomes a structured timeout in
     [coverage], not a hang. [retry] (default
     {!Hwf_resil.Resil.no_retry}) re-runs timed-out/transiently-failed

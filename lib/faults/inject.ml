@@ -38,30 +38,19 @@ let gate_fn (plan : Plan.t) =
       invalid_arg "Inject: Windows requires 0 <= off <= period, period > 0";
     Some (fun ~step -> (step + phase) mod period >= off)
 
-let run ?step_limit ?observer ?self_check ~plan ~config ~policy programs =
-  Engine.run ?step_limit ?observer ?self_check
+let run ?step_limit ?sink ?self_check ~plan ~config ~policy programs =
+  Engine.run ?step_limit ?sink ?self_check
     ?cost:(cost_fn plan ~config)
     ?halted:(halted_pred plan)
     ?axiom2_active:(gate_fn plan)
     ~config ~policy programs
 
-let run_recorded ?step_limit ?observer ~plan ~config ~policy programs =
+let run_recorded ?step_limit ?sink ~plan ~config ~policy programs =
   let decisions = ref [] in
-  let recording =
-    Policy.of_factory
-      (policy.Policy.name ^ "+rec")
-      (fun () ->
-        let choose = Policy.prepare policy in
-        fun view ->
-          match choose view with
-          | Some pid as r ->
-            decisions := pid :: !decisions;
-            r
-          | None -> None)
-  in
-  let result = run ?step_limit ?observer ~plan ~config ~policy:recording programs in
+  let policy = Policy.recording policy decisions in
+  let result = run ?step_limit ?sink ~plan ~config ~policy programs in
   (result, List.rev !decisions)
 
-let replay ?step_limit ?observer ~plan ~config ~schedule programs =
+let replay ?step_limit ?sink ~plan ~config ~schedule programs =
   let policy = Policy.scripted ~fallback:Policy.first schedule in
-  run ?step_limit ?observer ~plan ~config ~policy programs
+  run ?step_limit ?sink ~plan ~config ~policy programs

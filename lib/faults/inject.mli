@@ -12,24 +12,25 @@ open Hwf_sim
 
 val run :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   ?self_check:bool ->
   plan:Plan.t ->
   config:Config.t ->
   policy:Policy.t ->
   (unit -> unit) array ->
   Engine.result
-(** One run of [programs] under [plan]. [observer] is passed through to
+(** One run of [programs] under [plan]. [sink] is passed through to
     [Engine.run] — this is also the hook the resilience layer uses to
     enforce wall-clock deadlines inside a run
-    ({!Hwf_resil.Resil.guard_observer}). [self_check] (passed through
+    ({!Hwf_resil.Resil.guard_observer}, adapted by
+    {!Hwf_sim.Trace.observer}). [self_check] (passed through
     likewise) runs the engine's self-checking reference mode; the
     burst/caching differential suite uses it to pin faulted runs to the
     naive scheduler byte-for-byte. *)
 
 val run_recorded :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   plan:Plan.t ->
   config:Config.t ->
   policy:Policy.t ->
@@ -41,7 +42,7 @@ val run_recorded :
 
 val replay :
   ?step_limit:int ->
-  ?observer:(Trace.event -> unit) ->
+  ?sink:Trace.sink ->
   plan:Plan.t ->
   config:Config.t ->
   schedule:Proc.pid list ->

@@ -16,7 +16,7 @@ type run = {
 }
 
 (* Attribution relies on the engine being synchronous on one domain: a
-   Stmt event is appended (observer fires) immediately before the
+   Stmt event is appended (the sink fires) immediately before the
    process's continuation resumes, and every store access the process
    performs before its next effect happens before any further event. So
    "accesses after event E, before the next event" is exactly "accesses
@@ -64,7 +64,7 @@ let record ?(step_limit = 200_000) ~policy_name ~config ~policy programs =
     try
       Ok
         (Runtime.with_tap tap (fun () ->
-             Engine.run ~step_limit ~observer ~config ~policy programs))
+             Engine.run ~step_limit ~sink:(Trace.observer observer) ~config ~policy programs))
     with e -> Error e
   in
   close ();

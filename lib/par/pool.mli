@@ -51,6 +51,11 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the pool width used by the
     CLI's [--jobs] default. *)
 
+val auto_grain : n:int -> jobs:int -> int
+(** The default [grain] for [n] cells on [jobs] workers (see above):
+    [n] at [jobs <= 1], else [n / (jobs * 8)] clamped to [1 .. 256].
+    Callers that block their own cells reuse it to size the blocks. *)
+
 type stats
 (** Accumulating occupancy counters for {!map}. Off by default: a [map]
     without [?stats] touches no shared counters (workers keep local

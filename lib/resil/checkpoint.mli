@@ -48,3 +48,27 @@ val record : t -> idx:int -> key:string -> payload:string -> unit
 (** Append one completed-cell record and flush. *)
 
 val close : t -> unit
+
+(** {1 Payload codec}
+
+    A runner's [payload] is its own format; both campaign runners
+    ([Explore], [Certify]) write [;]-separated [key=value] fields with
+    any free-text message as the last field, and a schedule as raw
+    0-based pids separated by single spaces. *)
+
+val strip_prefix : prefix:string -> string -> string option
+(** [strip_prefix ~prefix s] is the rest of [s] after [prefix], if [s]
+    starts with it. *)
+
+val cut : sep:string -> string -> (string * string) option
+(** Split at the first occurrence of [sep]: the text before and after
+    it. *)
+
+val int_field : key:string -> string -> int option
+(** Parse one ["key=N"] field. *)
+
+val pids_to_string : int list -> string
+(** Space-separated, [""] for the empty schedule. *)
+
+val pids_of_string : string -> int list option
+(** Inverse of {!pids_to_string}; [None] on any malformed token. *)

@@ -61,11 +61,11 @@ val wall_left_s : deadline -> float option
 (** Seconds until wall-clock expiry ([None] if no wall budget). *)
 
 val guard_observer : ?every:int -> deadline -> ('a -> unit)
-(** An engine-observer-shaped guard: counts calls and polls the wall
-    clock every [every] events (default 2048), raising
-    {!Deadline_exceeded} from inside [Engine.run] — this is what turns
-    a livelocked engine run into a structured timeout instead of a
-    hang. Compose it with a real observer if one is installed. *)
+(** A per-event guard: counts calls and polls the wall clock every
+    [every] events (default 2048), raising {!Deadline_exceeded} from
+    inside [Engine.run] — this is what turns a livelocked engine run
+    into a structured timeout instead of a hang. Install it as the
+    engine's sink through [Hwf_sim.Trace.observer]. *)
 
 (** {1 Error taxonomy} *)
 

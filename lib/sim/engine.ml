@@ -43,7 +43,7 @@ type cell = {
   mutable dirty : bool;  (* scratch policy view needs rebuilding *)
 }
 
-let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
+let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?sink
     ?trace_buf ?(self_check = false) ~(config : Config.t) ~(policy : Policy.t)
     programs =
   let n = Config.n config in
@@ -62,11 +62,7 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
       Trace.reset t;
       t
   in
-  (match (observer, sink) with
-  | Some _, Some _ -> invalid_arg "Engine.run: ?observer and ?sink are mutually exclusive"
-  | Some f, None -> Trace.set_observer trace f
-  | None, Some s -> Trace.set_sink trace s
-  | None, None -> ());
+  Option.iter (Trace.set_sink trace) sink;
   let cost_of =
     match cost with
     | None -> fun _view _pid _op -> config.tmin
@@ -492,13 +488,13 @@ let run ?(step_limit = 1_000_000) ?cost ?halted ?axiom2_active ?observer ?sink
           | _ -> None);
     }
   in
-  (* From here on the observer can fire (launch already appends events)
-     and process bodies can raise: guarantee the observer/sink is
-     detached on every exit path — normal return, body exception, policy
+  (* From here on the sink can fire (launch already appends events)
+     and process bodies can raise: guarantee the sink is detached on
+     every exit path — normal return, body exception, policy
      misbehaviour — so a [trace_buf] reused across runs can never leak a
-     stale observer into the next run, and a returned [result.trace]
+     stale sink into the next run, and a returned [result.trace]
      never escapes with a live hook attached. *)
-  Fun.protect ~finally:(fun () -> Trace.clear_observer trace) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Trace.clear_sink trace) @@ fun () ->
   (* Launch every process up to its first suspension point. *)
   Array.iteri
     (fun pid body ->

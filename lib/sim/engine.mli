@@ -64,7 +64,6 @@ val run :
   ?cost:(Policy.view -> Proc.pid -> Op.t -> int) ->
   ?halted:(Policy.pview -> bool) ->
   ?axiom2_active:(step:int -> bool) ->
-  ?observer:(Trace.event -> unit) ->
   ?sink:Trace.sink ->
   ?trace_buf:Trace.t ->
   ?self_check:bool ->
@@ -142,18 +141,16 @@ val run :
     Axiom 2 — the paper's Sec. 2 degradation, used as a fault plan and
     as the negative control of the wait-freedom certifier.
 
-    [observer] is installed on the run's trace ({!Trace.set_observer})
-    before any process is launched, so it sees every event in append
-    order, and removed again on {e every} exit path — normal return,
+    [sink] is installed on the run's trace ({!Trace.set_sink}) before
+    any process is launched, so it sees every event in append order,
+    and removed again on {e every} exit path — normal return,
     process-body exception, policy misbehaviour — so a reused
-    [trace_buf] can never leak one run's observer into the next. It is
-    the engine-level entry point of the observability layer
-    ({!Hwf_obs.Metrics} collectors); when absent there is no per-event
-    cost (the trace's sinks are no-ops). [sink] is the allocation-free
-    variant ({!Trace.set_sink}): statement events arrive as plain
-    arguments instead of allocated {!Trace.event} records — prefer it on
-    hot paths ({!Hwf_obs.Metrics.sink} adapts a collector). At most one
-    of [observer]/[sink] may be supplied.
+    [trace_buf] can never leak one run's sink into the next. It is the
+    engine-level entry point of the observability layer; when absent
+    there is no per-event cost (the trace's sinks are no-ops).
+    Statement events arrive as plain arguments instead of allocated
+    {!Trace.event} records ({!Hwf_obs.Metrics.sink} adapts a
+    collector); {!Trace.observer} adapts a per-event function.
 
     [trace_buf] makes the run record into a caller-supplied trace
     ({!Trace.reset} is applied first) instead of allocating a fresh one
@@ -173,6 +170,6 @@ val run :
     tests; it restores the old quadratic cost.
 
     @raise Invalid_argument if the program count differs from the process
-    count, or if both [observer] and [sink] are supplied.
+    count.
     @raise Stdlib.Exit never; exceptions raised by process bodies
     propagate. *)

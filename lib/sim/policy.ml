@@ -23,6 +23,16 @@ let of_fun ?(burst_safe = false) name choose =
 let of_factory ?(burst_safe = false) name make = { name; burst_safe; make }
 let prepare t = t.make ()
 
+let recording t decisions =
+  of_factory (t.name ^ "+rec") (fun () ->
+      let choose = prepare t in
+      fun view ->
+        match choose view with
+        | Some pid as r ->
+          decisions := pid :: !decisions;
+          r
+        | None -> None)
+
 let round_robin () =
   of_factory ~burst_safe:true "round-robin" (fun () ->
       let last = ref (-1) in

@@ -77,6 +77,12 @@ val prepare : t -> view -> Proc.pid option
     wrappers) should call this once per run and reuse the result, never
     per decision. *)
 
+val recording : t -> Proc.pid list ref -> t
+(** [recording t decisions] behaves as [t] and prepends each pid it
+    picks to [decisions] — the run's schedule, newest first, replayable
+    through {!scripted} once reversed. Never [burst_safe]: every
+    decision must reach the recorder. *)
+
 val round_robin : unit -> t
 (** Cycles fairly through runnable processes in pid order; wakes thinking
     processes eagerly. Every process makes progress — a "fair" scheduler

@@ -77,7 +77,7 @@ let create config =
     observed = false;
   }
 
-let clear_observer t =
+let clear_sink t =
   t.on_stmt <- no_stmt;
   t.on_event <- no_event;
   t.observed <- false
@@ -93,7 +93,7 @@ let reset t =
   Array.fill t.own 0 (Array.length t.own) 0;
   t.now_reads <- 0;
   t.stamp_reads <- 0;
-  clear_observer t
+  clear_sink t
 
 let count_now t = t.now_reads <- t.now_reads + 1
 
@@ -105,10 +105,11 @@ let stamp_reads t = t.stamp_reads
 
 let config t = t.config
 
-let set_observer t f =
-  t.on_event <- f;
-  t.on_stmt <- (fun ~idx ~pid ~op ~inv ~cost -> f (Stmt { idx; pid; op; inv; cost }));
-  t.observed <- true
+let observer f =
+  {
+    on_stmt = (fun ~idx ~pid ~op ~inv ~cost -> f (Stmt { idx; pid; op; inv; cost }));
+    on_event = f;
+  }
 
 let set_sink t (s : sink) =
   t.on_stmt <- s.on_stmt;

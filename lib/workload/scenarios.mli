@@ -56,7 +56,7 @@ type mc_summary = {
 
 val run_multi :
   ?step_limit:int ->
-  ?observer:(Hwf_sim.Trace.event -> unit) ->
+  ?sink:Hwf_sim.Trace.sink ->
   quantum:int ->
   consensus_number:int ->
   layout:Layout.t ->
@@ -64,7 +64,7 @@ val run_multi :
   unit ->
   mc_summary
 (** One Fig. 7 consensus execution under [policy], with the measurements
-    used by experiments E1 and E5–E7. [observer] is passed through to
+    used by experiments E1 and E5–E7. [sink] is passed through to
     {!Hwf_sim.Engine.run} (live metrics collection). *)
 
 val adversarial_policies :
@@ -112,7 +112,7 @@ type cas_summary = {
 
 val run_cas :
   ?step_limit:int ->
-  ?observer:(Hwf_sim.Trace.event -> unit) ->
+  ?sink:Hwf_sim.Trace.sink ->
   quantum:int ->
   layout:Layout.t ->
   script:cas_op list list ->

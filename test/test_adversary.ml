@@ -55,6 +55,18 @@ let test_explore_respects_check () =
   Util.checki "one run" 1 o.runs;
   Util.expect_fail "always fail" o
 
+(* Two processes on two cpus racing on one variable: every decision is
+   a cross-processor choice, the multiprocessor shape of the tree. *)
+let two_cpu_race () =
+  let config = Layout.to_config ~quantum:4 [ (0, 1); (1, 1) ] in
+  let make () =
+    let x = Shared.make "x" 0 in
+    let bump () = Shared.write x (Shared.read x + 1) in
+    let body () = Eff.invocation "bump" (fun () -> bump (); bump ()) in
+    Explore.{ programs = [| body; body |]; check = (fun _ -> Ok ()) }
+  in
+  Explore.{ name = "two-cpu race"; config; make }
+
 let test_iter_schedules_coverage () =
   let b = fig3 ~quantum:8 ~pris:[ 1; 1 ] in
   let seen = ref 0 in
@@ -66,12 +78,28 @@ let test_iter_schedules_coverage () =
   in
   Util.checki "callback per run" n !seen;
   let o = Explore.explore b.scenario in
-  Util.checki "same count as explore" o.runs n
+  Util.checki "same count as explore" o.runs n;
+  (* [iter_schedules] is the independent single-loop enumeration the
+     subtree-cell search is checked against: unpruned, both must visit
+     the same schedules at every [jobs]. *)
+  let agree name ?preemption_bound scenario =
+    let n =
+      Explore.iter_schedules ?preemption_bound scenario ~f:(fun ~pids:_ _ -> `Continue)
+    in
+    List.iter
+      (fun jobs ->
+        let o = Explore.explore ?preemption_bound ~dpor:false ~jobs scenario in
+        Util.checki (Printf.sprintf "%s jobs=%d: same count" name jobs) n o.runs;
+        Util.checkb (Printf.sprintf "%s jobs=%d: exhaustive" name jobs) o.exhaustive)
+      [ 1; 2 ]
+  in
+  agree "two processors" (two_cpu_race ());
+  agree "preemption bound 1" ~preemption_bound:1 (fig3 ~quantum:8 ~pris:[ 1; 1; 1 ]).scenario
 
-let test_random_runs_deterministic () =
+let test_naive_sample_deterministic () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:300 ~seed:5 b.scenario in
-  let o2 = Explore.random_runs ~runs:300 ~seed:5 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive ~runs:300 ~seed:5 b.scenario in
+  let o2 = Explore.sample ~strategy:Randsched.Naive ~runs:300 ~seed:5 b.scenario in
   Util.checki "same verdict run count" o1.runs o2.runs
 
 (* Record the naive sampler's schedule for run [i] of a campaign — the
@@ -374,7 +402,7 @@ let () =
           Alcotest.test_case "preemption bound" `Quick test_preemption_bound_restricts;
           Alcotest.test_case "respects check" `Quick test_explore_respects_check;
           Alcotest.test_case "iter_schedules" `Quick test_iter_schedules_coverage;
-          Alcotest.test_case "random deterministic" `Quick test_random_runs_deterministic;
+          Alcotest.test_case "random deterministic" `Quick test_naive_sample_deterministic;
         ] );
       ( "sampling",
         [

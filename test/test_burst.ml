@@ -234,7 +234,7 @@ let test_observer_detached_after_run () =
   let calls = ref 0 in
   let r =
     Engine.run ~trace_buf
-      ~observer:(fun _ -> incr calls)
+      ~sink:(Trace.observer (fun _ -> incr calls))
       ~config:(two_procs ()) ~policy:Policy.first (bodies 3)
   in
   Util.checkb "run finished" (r.Engine.stop = Engine.All_finished);
@@ -254,7 +254,7 @@ let test_observer_detached_after_raise () =
   in
   (match
      Engine.run ~trace_buf
-       ~observer:(fun _ -> incr calls)
+       ~sink:(Trace.observer (fun _ -> incr calls))
        ~config:(two_procs ()) ~policy:Policy.first boom
    with
   | _ -> Alcotest.fail "expected the body exception to propagate"
@@ -277,19 +277,7 @@ let test_trace_buf_reuse () =
   Util.checkb "same buffer" (r1.Engine.trace == r2.Engine.trace);
   Util.checki "second run's statements only" (5 * s1 / 2) (Trace.statements r2.Engine.trace)
 
-let test_observer_sink_exclusive () =
-  let sink =
-    { Trace.on_stmt = (fun ~idx:_ ~pid:_ ~op:_ ~inv:_ ~cost:_ -> ()); on_event = ignore }
-  in
-  match
-    Engine.run
-      ~observer:(fun _ -> ())
-      ~sink ~config:(two_procs ()) ~policy:Policy.first (bodies 1)
-  with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
-
-(* sink-based metrics equal observer-based metrics equal of_trace *)
+(* sink-based metrics equal observer-adapted metrics equal of_trace *)
 let test_metrics_sink_equivalence () =
   let config = mk_config 4 in
   let make () =
@@ -313,7 +301,7 @@ let test_metrics_sink_equivalence () =
   let via_observer, trace =
     let c = Hwf_obs.Metrics.collector config in
     let r =
-      Engine.run ~observer:(Hwf_obs.Metrics.feed c) ~config
+      Engine.run ~sink:(Trace.observer (Hwf_obs.Metrics.feed c)) ~config
         ~policy:(Policy.random ~seed:5) (make ())
     in
     (Hwf_obs.Metrics.finish c, r.Engine.trace)
@@ -342,8 +330,6 @@ let () =
           Alcotest.test_case "detached after raise" `Quick
             test_observer_detached_after_raise;
           Alcotest.test_case "trace_buf reuse" `Quick test_trace_buf_reuse;
-          Alcotest.test_case "observer/sink exclusive" `Quick
-            test_observer_sink_exclusive;
           Alcotest.test_case "metrics sink equivalence" `Quick
             test_metrics_sink_equivalence;
         ] );

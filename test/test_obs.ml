@@ -22,7 +22,7 @@ let demo_run () =
   let collector = Hwf_obs.Metrics.collector config in
   let r =
     Engine.run ~step_limit:1_000_000
-      ~observer:(Hwf_obs.Metrics.feed collector)
+      ~sink:(Trace.observer (Hwf_obs.Metrics.feed collector))
       ~config ~policy:Policy.first inst.Explore.programs
   in
   (r, collector)

@@ -294,28 +294,32 @@ let test_explore_jobs_grain_matrix () =
         [ 1; 2; 3 ])
     [ 2; 4; 8 ]
 
-let test_random_runs_parallel_identical () =
+let test_naive_sample_parallel_identical () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:200 ~seed:5 ~jobs:1 b.scenario in
-  let o4 = Explore.random_runs ~runs:200 ~seed:5 ~jobs:4 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive
+             ~runs:200 ~seed:5 ~jobs:1 b.scenario in
+  let o4 = Explore.sample ~strategy:Randsched.Naive
+             ~runs:200 ~seed:5 ~jobs:4 b.scenario in
   Util.checki "same first failing run" o1.runs o4.runs;
   match (o1.counterexample, o4.counterexample) with
   | Some c1, Some c4 -> Util.check Alcotest.string "same message" c1.message c4.message
   | None, None -> ()
-  | _ -> Alcotest.fail "random_runs: jobs=1 and jobs=4 verdicts differ"
+  | _ -> Alcotest.fail "naive sample: jobs=1 and jobs=4 verdicts differ"
 
-let test_random_runs_grain_identical () =
+let test_naive_sample_grain_identical () =
   let b = fig3 ~quantum:1 ~pris:[ 1; 1; 1 ] in
-  let o1 = Explore.random_runs ~runs:100 ~seed:5 ~jobs:1 b.scenario in
+  let o1 = Explore.sample ~strategy:Randsched.Naive
+             ~runs:100 ~seed:5 ~jobs:1 b.scenario in
   List.iter
     (fun grain ->
-      let o = Explore.random_runs ~runs:100 ~seed:5 ~jobs:4 ~grain b.scenario in
+      let o = Explore.sample ~strategy:Randsched.Naive
+                ~runs:100 ~seed:5 ~jobs:4 ~grain b.scenario in
       Util.checki (Printf.sprintf "grain=%d: same first failing run" grain) o1.runs
         o.runs;
       match (o1.counterexample, o.counterexample) with
       | Some c1, Some c -> Util.check Alcotest.string "same message" c1.message c.message
       | None, None -> ()
-      | _ -> Alcotest.failf "random_runs grain=%d: verdict differs from jobs=1" grain)
+      | _ -> Alcotest.failf "naive sample grain=%d: verdict differs from jobs=1" grain)
     [ 1; 7; 50 ]
 
 (* ---- parallel certify ---- *)
@@ -393,10 +397,10 @@ let () =
             test_explore_max_runs_exact;
           Alcotest.test_case "jobs x grain identity matrix" `Quick
             test_explore_jobs_grain_matrix;
-          Alcotest.test_case "random_runs jobs=4 identical" `Quick
-            test_random_runs_parallel_identical;
-          Alcotest.test_case "random_runs grain identical" `Quick
-            test_random_runs_grain_identical;
+          Alcotest.test_case "naive sample jobs=4 identical" `Quick
+            test_naive_sample_parallel_identical;
+          Alcotest.test_case "naive sample grain identical" `Quick
+            test_naive_sample_grain_identical;
         ] );
       ( "certify",
         [

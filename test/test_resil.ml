@@ -375,6 +375,45 @@ let test_explore_checkpoint_dpor_identity () =
     Util.checkb "refused as a different campaign" (Util.contains m "Explore.explore"));
   Sys.remove path
 
+(* The search runs as subtree cells with or without a journal, so the
+   stop request, the interrupt flag and the cell deadline apply to a
+   plain [explore] too. *)
+let test_explore_stop_without_journal () =
+  let open Hwf_adversary in
+  let scenario = fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ] in
+  let o = Explore.explore ~should_stop:(fun () -> true) scenario in
+  Util.checkb "stopped search is visibly partial" (not (Resil.complete o.Explore.coverage));
+  Util.checkb "stopped search is not exhaustive" (not o.Explore.exhaustive);
+  (* A stop request mid-subtree: the subtree cut short has no result of
+     its own, so coverage must not count it as done. *)
+  let polls = ref 0 in
+  let stop () =
+    incr polls;
+    !polls > 5
+  in
+  let o = Explore.explore ~should_stop:stop scenario in
+  Util.checki "cut-short subtree is not done" 0 o.Explore.coverage.Resil.cells_done
+
+let test_explore_interrupt_without_journal () =
+  let open Hwf_adversary in
+  let scenario = fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ] in
+  Resil.request_interrupt ();
+  let o =
+    Fun.protect ~finally:Resil.reset_interrupt (fun () -> Explore.explore scenario)
+  in
+  Util.checkb "interrupted search is visibly partial"
+    (not (Resil.complete o.Explore.coverage));
+  Util.checkb "coverage records the interrupt" o.Explore.coverage.Resil.interrupted
+
+let test_explore_cell_wall_without_journal () =
+  let open Hwf_adversary in
+  let scenario = fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ] in
+  let full = Explore.explore scenario in
+  Util.checkb "unbudgeted search is exhaustive" full.Explore.exhaustive;
+  let o = Explore.explore ~cell_wall_s:1e-9 scenario in
+  Util.checkb "expired subtrees are demoted, not exhaustive" (not o.Explore.exhaustive);
+  Util.checkb "demoted subtrees ran fewer runs" (o.Explore.runs < full.Explore.runs)
+
 let () =
   Alcotest.run "resil"
     [
@@ -420,6 +459,12 @@ let () =
             test_explore_checkpoint_resume;
           Alcotest.test_case "kill and resume across jobs/grain" `Quick
             test_explore_checkpoint_jobs_grain;
+          Alcotest.test_case "stop without a journal" `Quick
+            test_explore_stop_without_journal;
+          Alcotest.test_case "interrupt without a journal" `Quick
+            test_explore_interrupt_without_journal;
+          Alcotest.test_case "cell wall without a journal" `Quick
+            test_explore_cell_wall_without_journal;
           Alcotest.test_case "dpor is campaign identity" `Quick
             test_explore_checkpoint_dpor_identity;
           Alcotest.test_case "restored counterexample" `Quick

@@ -149,7 +149,7 @@ let test_trace_contents () =
   | evs -> Alcotest.failf "unexpected events:@.%a" Fmt.(list ~sep:(any "@.") Trace.pp_event) evs
 
 (* S1 regression: own_statements is maintained incrementally; it must
-   agree with a fold over the event vector, and the observer hook must
+   agree with a fold over the event vector, and the sink hook must
    see every event in append order. *)
 let test_own_statements_incremental () =
   let config = Util.uni_config ~quantum:2 [ 1; 1; 2 ] in
@@ -160,10 +160,10 @@ let test_own_statements_incremental () =
   let r =
     Engine.run ~config
       ~policy:(Hwf_adversary.Stagger.max_interleave ())
-      ~observer:(fun _ -> incr seen)
+      ~sink:(Trace.observer (fun _ -> incr seen))
       bodies
   in
-  Util.checki "observer saw every event" (Trace.length r.trace) !seen;
+  Util.checki "sink saw every event" (Trace.length r.trace) !seen;
   let folded = Array.make n 0 in
   List.iter
     (function
