@@ -556,9 +556,14 @@ let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
   let best = Atomic.make (match head with Some (Error _) -> 0 | _ -> max_int) in
   let taint = Atomic.make false in
   let stopped () = should_stop () || Resil.interrupted () in
+  (* One subtree as a cell outcome: [Skipped] when the stop request cut
+     its DFS short (a cut DFS has found no counterexample, so it has no
+     result of its own), [Ok_cell] otherwise. *)
   let eval arena i deadline =
+    let cut = ref false in
     let aborted () =
-      Atomic.get best < i || Atomic.get taint || stopped ()
+      Atomic.get best < i || Atomic.get taint
+      || (stopped () && (cut := true; true))
       (* Watchdog demotion: an expired deadline retires the subtree
          with a partial, non-exhaustive result instead of hanging. *)
       || Resil.expired deadline
@@ -577,21 +582,20 @@ let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
       | _ -> dfs (Some (if width <= 1 then [||] else [| i |]))
     in
     (match st.scx with Some _ -> atomic_min best i | None -> ());
-    (* Journal only untainted cells: a cell cut short by an interrupt
-       or stop request must re-run on resume, not restore partial. *)
-    if not (stopped () || Atomic.get taint) then
-      Option.iter
-        (fun j ->
-          Checkpoint.record j ~idx:i
-            ~key:(Printf.sprintf "subtree-%d" i)
-            ~payload:(payload_of_subtree st))
-        journal;
-    st
-  in
-  let deadline_for ~attempt:_ =
-    match cell_wall_s with
-    | None -> Resil.no_deadline
-    | Some s -> Resil.deadline ~wall_s:s ()
+    (* Journal only untainted, uncut cells: a cell cut short by an
+       interrupt or stop request must re-run on resume, not restore
+       partial. *)
+    if !cut then Resil.Skipped "interrupted"
+    else begin
+      if not (Atomic.get taint) then
+        Option.iter
+          (fun j ->
+            Checkpoint.record j ~idx:i
+              ~key:(Printf.sprintf "subtree-%d" i)
+              ~payload:(payload_of_subtree st))
+          journal;
+      Resil.Ok_cell st
+    end
   in
   (* The calling domain's worker reuses the probe's arena. *)
   let caller = Domain.self () in
@@ -601,16 +605,26 @@ let explore ?preemption_bound ?(max_runs = 200_000) ?(max_depth = 10_000)
       (fun arena i ->
         match Hashtbl.find_opt restored i with
         | Some st -> { Resil.outcome = Resil.Ok_cell st; attempts = 1 }
-        | None -> (
-          if stopped () then { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
-          else
-            match Resil.run_cell ~retry:Resil.no_retry ~deadline_for (eval arena i) with
-            (* A subtree the stop request cut short has no result of
-               its own (only a counterexample stands), so it must not
-               count as done. *)
-            | { Resil.outcome = Resil.Ok_cell { scx = None; _ }; attempts } when stopped () ->
-              { Resil.outcome = Resil.Skipped "interrupted"; attempts }
-            | cell -> cell))
+        | None when stopped () -> { Resil.outcome = Resil.Skipped "interrupted"; attempts = 0 }
+        | None ->
+          let deadline =
+            match cell_wall_s with
+            | None -> Resil.no_deadline
+            | Some s -> Resil.deadline ~wall_s:s ()
+          in
+          let outcome =
+            match journal with
+            (* Nothing to resume an errored cell from: an exception
+               propagates to the caller (the pool re-raises the
+               lowest-index one). *)
+            | None -> eval arena i deadline
+            (* Journaled: contain it as an errored cell, so the
+               completed subtrees stay journaled and resumable. *)
+            | Some _ -> (
+              try eval arena i deadline
+              with e -> Resil.Errored (Resil.classify e, Printexc.to_string e))
+          in
+          { Resil.outcome; attempts = 1 })
       (Array.init width Fun.id)
   in
   Option.iter Checkpoint.close journal;

@@ -236,11 +236,11 @@ val explore :
     subtrees it cuts short or that had not started are reported as
     skipped in [coverage] (a counterexample already found stands).
     An exception escaping a subtree's runs (a process body, [make] or
-    [check] raising) is contained as an errored cell in [coverage]; an
-    exception in the probe — the canonical first run, made before the
-    fan-out — propagates.
+    [check] raising) propagates to the caller (at [jobs > 1], the
+    lowest-index subtree's), as does one in the probe — the canonical
+    first run, made before the fan-out.
 
-    [checkpoint] only adds the journal: each completed subtree is
+    [checkpoint] adds the journal: each completed subtree is
     appended to an [hwf-ckpt/1] file (per subtree at every [grain]).
     With [resume = true] journaled subtrees are restored instead of
     re-run — their run counts re-seed the [max_runs] budget and a
@@ -248,7 +248,10 @@ val explore :
     decisions — and the journal must match the campaign (same scenario
     name, search bounds, and armed [dpor]) or the call raises
     [Invalid_argument]. Subtrees cut short by [should_stop] or an
-    interrupt are not journaled, so a resume re-runs them in full. *)
+    interrupt are not journaled, so a resume re-runs them in full. With
+    a journal, an exception escaping a subtree after the probe is
+    contained as an errored cell in [coverage] instead of propagating,
+    so the completed subtrees stay journaled for the resume. *)
 
 val iter_schedules :
   ?preemption_bound:int ->

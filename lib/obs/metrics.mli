@@ -9,10 +9,10 @@
     guarantee), and priority-change churn (Sec. 5 dynamic priorities).
 
     Collection is {e incremental}: a {!collector}'s {!feed} is designed
-    to sit behind the nullable trace observer hook
-    ({!Hwf_sim.Engine.run}'s [observer] / {!Hwf_sim.Trace.set_observer}),
-    so metrics accrue while the engine runs and cost nothing when no
-    sink is configured. {!of_trace} replays a recorded trace through the
+    to sit behind the engine's trace sink hook ({!Hwf_sim.Engine.run}'s
+    [sink], given {!sink} or {!Hwf_sim.Trace.observer} of a feed), so
+    metrics accrue while the engine runs and cost nothing when no sink
+    is configured. {!of_trace} replays a recorded trace through the
     same collector, and is guaranteed to produce the same result as
     feeding events live.
 
@@ -82,15 +82,15 @@ type collector
 val collector : Config.t -> collector
 
 val feed : collector -> Trace.event -> unit
-(** Advance the collector by one event; pass this (partially applied) as
-    the engine's [observer]. *)
+(** Advance the collector by one event; pass this (partially applied)
+    through {!Hwf_sim.Trace.observer} as the engine's [sink]. *)
 
 val sink : collector -> Trace.sink
 (** Allocation-free observer: a {!Hwf_sim.Trace.sink} whose statement
     callback takes the event fields directly, so the engine's hot path
     feeds this collector without materializing a [Trace.Stmt] record
     per statement. Pass as {!Hwf_sim.Engine.run}'s [sink]; equivalent
-    to [feed] observed through [observer], just cheaper. *)
+    to [Trace.observer (feed c)], just cheaper. *)
 
 val finish : collector -> t
 (** Close any still-open invocations (as incomplete) and freeze. *)

@@ -36,11 +36,14 @@ expect 1 "explore counterexample (Q=1)"   "$BIN" explore -q 1
 expect 0 "cas clean"                      "$BIN" cas
 expect 0 "faults clean (fig3)"            "$BIN" faults -s fig3
 expect 2 "faults injected livelock"       timeout 60 "$BIN" faults -s fig3 --inject-livelock --cell-wall 1
-# SIGINT after 0.5 s of a ~3 s search: explore runs as subtree cells
-# with or without a journal, so the interrupt must stop it with
-# incomplete coverage, not be swallowed until the search completes.
+# SIGINT after 0.5 s of a five-process search with a 10^8-run budget,
+# which no host finishes in seconds: explore runs as subtree cells with
+# or without a journal, so the interrupt must stop it with incomplete
+# coverage, not be swallowed (a swallowed interrupt is killed 10 s on
+# and fails the check).
 expect 2 "explore interrupted without --checkpoint" \
-  timeout --preserve-status -s INT 0.5 "$BIN" explore -j 1 -l 0:1,0:1,0:1,0:1
+  timeout --preserve-status -k 10 -s INT 0.5 "$BIN" explore -j 1 -l 0:1,0:1,0:1,0:1,0:1 \
+  --max-runs 100000000
 expect 2 "replay missing schedule file"   "$BIN" replay /nonexistent.sched
 expect 0 "lint clean"                     "$BIN" lint
 expect 0 "stats clean"                    "$BIN" stats

@@ -414,6 +414,47 @@ let test_explore_cell_wall_without_journal () =
   Util.checkb "expired subtrees are demoted, not exhaustive" (not o.Explore.exhaustive);
   Util.checkb "demoted subtrees ran fewer runs" (o.Explore.runs < full.Explore.runs)
 
+(* [scenario] whose process 0 raises on the [nth] instance only (the
+   probe is instance 0), so the failure lands on a later schedule. *)
+let failing_at ~nth (scenario : Hwf_adversary.Explore.scenario) =
+  let made = Atomic.make 0 in
+  let make () =
+    let inst = scenario.make () in
+    if Atomic.fetch_and_add made 1 <> nth then inst
+    else
+      {
+        inst with
+        programs =
+          Array.mapi
+            (fun i p -> if i = 0 then fun () -> failwith "late body failure" else p)
+            inst.programs;
+      }
+  in
+  { scenario with make }
+
+let test_explore_error_without_journal () =
+  (* No journal to resume from: the exception reaches the caller, as a
+     plain search must not pass a schedule it never judged. *)
+  let open Hwf_adversary in
+  let scenario = failing_at ~nth:5 (fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ]) in
+  match Explore.explore scenario with
+  | _ -> Alcotest.fail "expected the body's exception to propagate"
+  | exception Failure m -> Util.check Alcotest.string "body's exception" "late body failure" m
+
+let test_explore_error_with_journal () =
+  (* Journaled: the exception is contained as one errored cell, and the
+     other subtrees still complete. *)
+  let open Hwf_adversary in
+  let scenario = failing_at ~nth:5 (fig3_scenario ~quantum:8 ~pris:[ 1; 1; 1 ]) in
+  let path = tmpfile () in
+  let o = Explore.explore ~checkpoint:path scenario in
+  Sys.remove path;
+  let c = o.Explore.coverage in
+  Util.checki "one errored cell" 1 c.Resil.errors;
+  Util.checki "the other subtrees complete" (c.Resil.cells_total - 1) c.Resil.cells_done;
+  Util.checkb "errored search is not exhaustive" (not o.Explore.exhaustive);
+  Util.checkb "no counterexample" (o.Explore.counterexample = None)
+
 let () =
   Alcotest.run "resil"
     [
@@ -465,6 +506,10 @@ let () =
             test_explore_interrupt_without_journal;
           Alcotest.test_case "cell wall without a journal" `Quick
             test_explore_cell_wall_without_journal;
+          Alcotest.test_case "error without a journal propagates" `Quick
+            test_explore_error_without_journal;
+          Alcotest.test_case "error with a journal is an errored cell" `Quick
+            test_explore_error_with_journal;
           Alcotest.test_case "dpor is campaign identity" `Quick
             test_explore_checkpoint_dpor_identity;
           Alcotest.test_case "restored counterexample" `Quick

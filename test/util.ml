@@ -22,11 +22,16 @@ let run ?(step_limit = 1_000_000) ~config ~policy bodies =
   r
 
 let expect_ok name (o : Hwf_adversary.Explore.outcome) =
-  match o.counterexample with
+  (match o.counterexample with
   | None -> ()
   | Some c ->
     Alcotest.failf "%s: counterexample after %d runs: %s@.%s" name o.runs c.message
-      (Render.lanes c.trace)
+      (Render.lanes c.trace));
+  (* A clean verdict must also cover every cell: an errored, timed-out
+     or skipped cell is work the search never judged. *)
+  if not (Hwf_resil.Resil.complete o.coverage) then
+    Alcotest.failf "%s: incomplete coverage after %d runs: %a" name o.runs
+      Hwf_resil.Resil.pp_coverage o.coverage
 
 let expect_fail name (o : Hwf_adversary.Explore.outcome) =
   match o.counterexample with
