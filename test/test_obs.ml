@@ -50,6 +50,83 @@ let test_golden_metrics () =
     (read_file golden_metrics)
     (Hwf_obs.Jsonl.metrics_to_string (Hwf_obs.Metrics.finish collector))
 
+(* Name goldens: one run per family of indexed shared-variable names,
+   so any change in how a name is built shows as a byte diff. Between
+   them they exercise every name form of the algorithm modules:
+   - Fig. 5 C&S on three levels: [Cell[o][t].val]/[.nxt] with their
+     Fig. 3 [.P[k]] registers, the per-C&S [.nxt'] consensus, [A[q][i]],
+     [Seen[i]] and the [Hd[i]] chains ([val[k]], [slot[k]], [ver]).
+     Process 0 runs more C&S operations than its 2N + 1 excluded tags,
+     so it reuses a tag;
+   - Fig. 7 on two processors: [Outval], [Lastpub], [Port], [Cons] and
+     the per-port [elect] consensus;
+   - Fig. 9: its [elect] matrix and [Output] over a nested Fig. 7
+     object ([global]);
+   - a universal queue whose processes first take a name from a
+     renaming object: [announce[i]], [cell[k]] and [cell[k].cache],
+     [slot[k]]. *)
+let fig5_names_trace () =
+  let script =
+    [
+      List.init 9 (fun k -> Scenarios.Cas (k, k + 1));
+      [ Scenarios.Rd; Scenarios.Cas (0, 50) ];
+      [ Scenarios.Cas (1, 60); Scenarios.Rd ];
+    ]
+  in
+  (Scenarios.run_cas ~quantum:400
+     ~layout:[ (0, 1); (0, 2); (0, 3) ]
+     ~script ~policy:(Policy.random ~seed:7) ())
+    .Scenarios.cas_trace
+
+let fig7_names_trace () =
+  (Scenarios.run_multi ~quantum:2000 ~consensus_number:2
+     ~layout:[ (0, 1); (0, 2); (1, 1) ]
+     ~policy:(Policy.random ~seed:3) ())
+    .Scenarios.trace
+
+let fig9_names_trace () =
+  let layout = [ (0, 1); (1, 1) ] in
+  let b =
+    Scenarios.consensus ~name:"golden"
+      ~impl:(Scenarios.Fig9 { consensus_number = 2 })
+      ~quantum:2000 ~layout
+  in
+  let inst = b.Scenarios.scenario.Explore.make () in
+  (Engine.run ~step_limit:1_000_000 ~config:b.Scenarios.scenario.Explore.config
+     ~policy:(Policy.random ~seed:5) inst.Explore.programs)
+    .Engine.trace
+
+let universal_names_trace () =
+  let n = 3 in
+  let config = Util.uni_config ~quantum:200 [ 1; 2; 2 ] in
+  let names = Hwf_core.Renaming.make "golden.names" in
+  let q =
+    Hwf_core.Wf_objects.queue ~name:"golden.q" ~n
+      ~factory:(Hwf_core.Wf_objects.uni_factory ())
+  in
+  let bodies =
+    Array.init n (fun pid () ->
+        Eff.invocation "enq" (fun () ->
+            Hwf_core.Wf_objects.enqueue q ~pid (Hwf_core.Renaming.acquire names ~pid));
+        Eff.invocation "deq" (fun () -> ignore (Hwf_core.Wf_objects.dequeue q ~pid)))
+  in
+  (Engine.run ~step_limit:1_000_000 ~config ~policy:(Policy.random ~seed:11) bodies)
+    .Engine.trace
+
+let name_goldens =
+  [
+    ("golden/fig5_trace.jsonl", fig5_names_trace);
+    ("golden/fig7_trace.jsonl", fig7_names_trace);
+    ("golden/fig9_trace.jsonl", fig9_names_trace);
+    ("golden/universal_trace.jsonl", universal_names_trace);
+  ]
+
+let test_name_golden (path, run) () =
+  Alcotest.(check string)
+    (path ^ ": shared-variable names match the golden file")
+    (read_file path)
+    (Hwf_obs.Jsonl.trace_to_string (run ()))
+
 (* S4: the CLI's explore export path — replay of a schedule-deterministic
    decision sequence — must produce identical bytes whatever the worker
    count of the search that preceded it. *)
@@ -290,7 +367,10 @@ let promote () =
   Hwf_obs.Jsonl.write_metrics
     ~path:("test/" ^ golden_metrics)
     (Hwf_obs.Metrics.finish collector);
-  print_endline "promoted test/golden/fig3_{trace,metrics}.jsonl"
+  List.iter
+    (fun (path, run) -> Hwf_obs.Jsonl.write_trace ~path:("test/" ^ path) (run ()))
+    name_goldens;
+  print_endline "promoted test/golden/{fig3,fig5,fig7,fig9,universal}_*.jsonl"
 
 let () =
   if Sys.getenv_opt "HWF_GOLDEN_PROMOTE" <> None then promote ()
@@ -305,6 +385,11 @@ let () =
             Alcotest.test_case "feed vs of_trace" `Quick test_feed_vs_of_trace;
             Alcotest.test_case "escaping" `Quick test_escaping;
           ] );
+        ( "names",
+          List.map
+            (fun ((path, _) as g) ->
+              Alcotest.test_case (Filename.basename path) `Quick (test_name_golden g))
+            name_goldens );
         ( "metrics",
           [
             Alcotest.test_case "incremental vs naive broadcast" `Quick
