@@ -147,7 +147,7 @@ let run ~quick =
           [ 1; 4 ])
       [ 2; 8; 32; 128; 1024 ]
   in
-  let reps = if quick then 1 else 5 in
+  let reps = if quick then 3 else 5 in
   let cells =
     List.filter_map
       (fun (n, processors, observer) ->

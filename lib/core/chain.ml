@@ -1,7 +1,9 @@
 open Hwf_sim
 
 type ('s, 'op, 'r) t = {
-  name : string;
+  mutable name : Shared.Name.t;
+  val_name : Shared.Name.t;  (* name.val *)
+  slot_name : Shared.Name.t;  (* name.slot *)
   init : 's;
   apply : 's -> 'op -> 's * 'r;
   slots : (int * int * 'op) Uni_consensus.t Vec.t;
@@ -14,29 +16,40 @@ type ('s, 'op, 'r) t = {
 (* find_current (~4 stmts) + decide (8) + two writes + locals *)
 let statements_per_attempt_hint = 16
 
+
+(* Rendered once, like a variable's name (see {!Shared.name}). *)
+let name t =
+  match t.name with
+  | Shared.Name.Lit s -> s
+  | n ->
+    let s = Shared.Name.render n in
+    t.name <- Shared.Name.v s;
+    s
+
 let val_cell t k =
   while Vec.length t.vals <= k do
-    Vec.push t.vals
-      (Shared.make (Printf.sprintf "%s.val[%d]" t.name (Vec.length t.vals)) None)
+    Vec.push t.vals (Shared.named (Shared.Name.idx t.val_name (Vec.length t.vals)) None)
   done;
   Vec.get t.vals k
 
 let slot_cell t k =
   while Vec.length t.slots <= k do
     Vec.push t.slots
-      (Uni_consensus.make (Printf.sprintf "%s.slot[%d]" t.name (Vec.length t.slots)))
+      (Uni_consensus.named (Shared.Name.idx t.slot_name (Vec.length t.slots)))
   done;
   Vec.get t.slots k
 
-let make ~name ~init ~apply =
+let named ~name ~init ~apply =
   let t =
     {
       name;
+      val_name = Shared.Name.dot name "val";
+      slot_name = Shared.Name.dot name "slot";
       init;
       apply;
       slots = Vec.create ();
       vals = Vec.create ();
-      ver = Shared.make (name ^ ".ver") 0;
+      ver = Shared.named (Shared.Name.dot name "ver") 0;
       seqs = Hashtbl.create 8;
       max_attempts = 0;
     }
@@ -47,6 +60,8 @@ let make ~name ~init ~apply =
      the model's sense. *)
   Runtime.instrumentation (fun () -> Shared.poke (val_cell t 0) (Some init));
   t
+
+let make ~name ~init ~apply = named ~name:(Shared.Name.v name) ~init ~apply
 
 (* Scan from the version hint to the first undecided slot, replaying
    decided operations. The hint is monotone-safe: it is only ever
@@ -84,7 +99,7 @@ let invoke t ~who op =
   let seq = next_seq t ~who in
   let rec attempt n =
     let k, s = find_current t in
-    Eff.local (t.name ^ ".propose");
+    Eff.local (name t ^ ".propose");
     let winner_who, winner_seq, _winner_op =
       Uni_consensus.decide (slot_cell t k) (who, seq, op)
     in

@@ -29,6 +29,12 @@ type ('s, 'op, 'r) t
 val make : name:string -> init:'s -> apply:('s -> 'op -> 's * 'r) -> ('s, 'op, 'r) t
 (** [apply] must be a pure function: it is replayed by readers. *)
 
+val named :
+  name:Hwf_sim.Shared.Name.t -> init:'s -> apply:('s -> 'op -> 's * 'r) -> ('s, 'op, 'r) t
+(** {!make} with a name rendered on first use ({!Hwf_sim.Shared.Name}).
+    Its variables are [name.ver], [name.val[k]] and the consensus
+    objects [name.slot[k]], [k] counted from 0 as allocated. *)
+
 val invoke : ('s, 'op, 'r) t -> who:int -> 'op -> 'r
 (** Applies [op] atomically and returns its result. [who] identifies the
     calling process (any int unique per process). *)
@@ -41,6 +47,14 @@ val peek_state : ('s, 'op, 'r) t -> 's
 
 val ops_count : ('s, 'op, 'r) t -> int
 (** Harness inspection: operations linearized so far. *)
+
+val val_cell : ('s, 'op, 'r) t -> int -> 's option Hwf_sim.Shared.t
+(** Harness inspection: the state register [name.val[k]], allocating it
+    (and every earlier one) if needed; not a statement. *)
+
+val slot_cell : ('s, 'op, 'r) t -> int -> (int * int * 'op) Uni_consensus.t
+(** Harness inspection: the consensus object [name.slot[k]] deciding
+    operation [k], allocated like {!val_cell}; not a statement. *)
 
 val max_attempts : ('s, 'op, 'r) t -> int
 (** Harness inspection: the worst number of attempts any single [invoke]

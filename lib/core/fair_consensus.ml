@@ -1,7 +1,6 @@
 open Hwf_sim
 
 type 'a t = {
-  name : string;
   config : Config.t;
   output : 'a option Shared.t;
   elections : int Uni_consensus.t array array;  (* [P][V] *)
@@ -12,16 +11,17 @@ type 'a t = {
 let make ~config ~name ~consensus_number =
   let p = config.Config.processors in
   let v = config.Config.levels in
+  let name = Shared.Name.v name in
+  let elect = Shared.Name.dot name "elect" in
   {
-    name;
     config;
-    output = Shared.make (name ^ ".Output") None;
+    output = Shared.named (Shared.Name.dot name "Output") None;
     elections =
       Array.init p (fun i ->
-          Array.init v (fun w ->
-              Uni_consensus.make
-                (Printf.sprintf "%s.elect[%d][%d]" name (i + 1) (w + 1))));
-    global = Multi_consensus.make ~config ~name:(name ^ ".global") ~consensus_number ();
+          let row = Shared.Name.idx elect (i + 1) in
+          Array.init v (fun w -> Uni_consensus.named (Shared.Name.idx row (w + 1))));
+    global =
+      Multi_consensus.named ~config ~name:(Shared.Name.dot name "global") ~consensus_number ();
     lost = 0;
   }
 

@@ -32,6 +32,7 @@ type stats = {
 
 type 'a t = {
   name : string;
+  cell_name : Shared.Name.t;  (* name.Cell *)
   n : int;  (* N, real processes *)
   v : int;  (* V, priority levels *)
   priority : int -> int;  (* pid (or pseudo-id N) -> level *)
@@ -60,38 +61,30 @@ let make ~config ~name ~init =
   let priority pid =
     if pid = n then 1 else config.Config.procs.(pid).Proc.priority
   in
-  let fresh_nxt owner tag =
-    Uni_consensus.make (Printf.sprintf "%s.Cell[%d][%d].nxt" name owner tag)
-  in
+  let root = Shared.Name.v name in
+  let cell_name = Shared.Name.dot root "Cell" in
   let cells =
     Array.init (n + 1) (fun owner ->
+        let row = Shared.Name.idx cell_name owner in
         Array.init (tag_space n) (fun tag ->
+            let at = Shared.Name.idx row tag in
+            let nxt = Shared.Name.dot at "nxt" in
             {
-              value =
-                Shared.make (Printf.sprintf "%s.Cell[%d][%d].val" name owner tag) init;
-              nxt =
-                Shared.make
-                  (Printf.sprintf "%s.Cell[%d][%d].nxt" name owner tag)
-                  (fresh_nxt owner tag);
+              value = Shared.named (Shared.Name.dot at "val") init;
+              nxt = Shared.named nxt (Uni_consensus.named nxt);
             }))
   in
   (* "We assume the list is initialized as if some process had previously
      performed a successful C&S in isolation": a pseudo-process (id N,
      priority 1) owns the initial cell (N, 0); every Hd points at it. *)
   let initial = { hid = n; htag = 0; last = n } in
-  let hd =
-    Array.init v (fun i -> Q_cas.make (Printf.sprintf "%s.Hd[%d]" name (i + 1)) initial)
-  in
-  let a =
-    Array.init (2 * n) (fun q ->
-        Array.init v (fun i ->
-            Shared.make (Printf.sprintf "%s.A[%d][%d]" name (q + 1) (i + 1)) 0))
-  in
-  let seen =
-    Array.init v (fun i -> Shared.make (Printf.sprintf "%s.Seen[%d]" name (i + 1)) init)
-  in
+  let hd_name = Shared.Name.dot root "Hd" in
+  let hd = Array.init v (fun i -> Q_cas.named (Shared.Name.idx hd_name (i + 1)) initial) in
+  let a = Shared.matrix (Shared.Name.dot root "A") (2 * n) v (fun _ _ -> 0) in
+  let seen = Shared.array (Shared.Name.dot root "Seen") v (fun _ -> init) in
   {
     name;
+    cell_name;
     n;
     v;
     priority;
@@ -263,9 +256,8 @@ let cas t ~pid ~expected ~desired =
   let mytag = select_tag t st ~pri (* lines 8-10 *) in
   let my_cell = t.cells.(pid).(mytag) in
   Shared.write my_cell.value desired (* line 11 *);
-  Shared.write my_cell.nxt
-    (Uni_consensus.make (Printf.sprintf "%s.Cell[%d][%d].nxt'" t.name pid mytag))
-  (* line 12 *);
+  let at = Shared.Name.idx (Shared.Name.idx t.cell_name pid) mytag in
+  Shared.write my_cell.nxt (Uni_consensus.named (Shared.Name.dot at "nxt'")) (* line 12 *);
   (* lines 13-24: scan the Hd variables for the list head *)
   let result = ref None in
   let i = ref 1 in

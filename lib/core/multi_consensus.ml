@@ -6,7 +6,8 @@ open Hwf_objects
 type port_op = Fetch_inc | Port_cas of int * int
 
 type 'a t = {
-  name : string;
+  mutable name : Shared.Name.t;
+  elect_name : Shared.Name.t;  (* name.elect *)
   config : Config.t;
   c : int;
   k : int;
@@ -36,7 +37,7 @@ let apply_port s = function
   | Fetch_inc -> (s + 1, s)
   | Port_cas (e, d) -> if s = e then (d, 1) else (s, 0)
 
-let make ?levels_override ~config ~name ~consensus_number () =
+let named ?levels_override ~config ~name ~consensus_number () =
   let p = config.Config.processors in
   if consensus_number < p then
     invalid_arg "Multi_consensus.make: consensus_number < processors";
@@ -50,8 +51,13 @@ let make ?levels_override ~config ~name ~consensus_number () =
     | None -> Bounds.levels ~m ~p ~k
   in
   let v = config.Config.levels in
+  let outval = Shared.Name.dot name "Outval" in
+  let lastpub = Shared.Name.dot name "Lastpub" in
+  let port = Shared.Name.dot name "Port" in
+  let cons = Shared.Name.dot name "Cons" in
   {
     name;
+    elect_name = Shared.Name.dot name "elect";
     config;
     c = consensus_number;
     k;
@@ -59,23 +65,20 @@ let make ?levels_override ~config ~name ~consensus_number () =
     numports = Array.init p (fun i -> Bounds.ports_per_processor ~p ~k ~processor:i);
     outval =
       Array.init p (fun i ->
-          Array.init (l + 1) (fun lev ->
-              Shared.make (Printf.sprintf "%s.Outval[%d][%d]" name (i + 1) lev) None));
+          let row = Shared.Name.idx outval (i + 1) in
+          Array.init (l + 1) (fun lev -> Shared.named (Shared.Name.idx row lev) None));
     lastpub =
       Array.init p (fun i ->
-          Array.init v (fun w ->
-              Q_cas.make (Printf.sprintf "%s.Lastpub[%d][%d]" name (i + 1) (w + 1)) 0));
+          let row = Shared.Name.idx lastpub (i + 1) in
+          Array.init v (fun w -> Q_cas.named (Shared.Name.idx row (w + 1)) 0));
     port =
       Array.init p (fun i ->
+          let row = Shared.Name.idx port (i + 1) in
           Array.init v (fun w ->
-              Chain.make
-                ~name:(Printf.sprintf "%s.Port[%d][%d]" name (i + 1) (w + 1))
-                ~init:1 ~apply:apply_port));
+              Chain.named ~name:(Shared.Name.idx row (w + 1)) ~init:1 ~apply:apply_port));
     elections = Array.init p (fun _ -> Vec.create ());
     cons =
-      Array.init l (fun lev ->
-          Cons_obj.make ~consensus_number
-            (Printf.sprintf "%s.Cons[%d]" name (lev + 1)));
+      Array.init l (fun lev -> Cons_obj.named ~consensus_number (Shared.Name.idx cons (lev + 1)));
     exhausted = 0;
     af = Hashtbl.create 32;
     claimants = Hashtbl.create 32;
@@ -84,14 +87,30 @@ let make ?levels_override ~config ~name ~consensus_number () =
     returned = Vec.create ();
   }
 
+let make ?levels_override ~config ~name ~consensus_number () =
+  named ?levels_override ~config ~name:(Shared.Name.v name) ~consensus_number ()
+
 let election t i port =
   let v = t.elections.(i) in
   while Vec.length v < port do
     Vec.push v
-      (Uni_consensus.make
-         (Printf.sprintf "%s.elect[%d][%d]" t.name (i + 1) (Vec.length v + 1)))
+      (Uni_consensus.named
+         (Shared.Name.idx (Shared.Name.idx t.elect_name (i + 1)) (Vec.length v + 1)))
   done;
   Vec.get v (port - 1)
+
+
+(* Rendered once, like a variable's name (see {!Shared.name}). *)
+let name t =
+  match t.name with
+  | Shared.Name.Lit s -> s
+  | n ->
+    let s = Shared.Name.render n in
+    t.name <- Shared.Name.v s;
+    s
+
+(* A numbered local statement of Fig. 7, labelled [name.<line>]. *)
+let local t line = Eff.local (name t ^ line)
 
 let levels t = t.l
 let k t = t.k
@@ -108,23 +127,23 @@ let decide t ~pid input0 =
   let port_v = t.port.(i).(v - 1) in
   match Shared.read t.outval.(i).(t.l) (* line 1 *) with
   | Some r ->
-    Eff.local (t.name ^ ".2");
+    local t ".2";
     return_value t r (* line 2 *)
   | None ->
-    Eff.local (t.name ^ ".3");
+    local t ".3";
     let numports = t.numports.(i) (* line 3 *) in
-    Eff.local (t.name ^ ".4");
+    local t ".4";
     let input = ref input0 and prevlevel = ref 0 and level = ref 0 (* line 4 *) in
     (* lines 5-13: lower-priority processes may have made progress *)
     for w = 1 to v - 1 do
       let lowerport = Chain.read t.port.(i).(w - 1) (* line 6 *) in
       let port = Chain.read port_v (* line 7 *) in
-      Eff.local (t.name ^ ".8");
+      local t ".8";
       if lowerport > port (* line 8 *) then
         ignore (Chain.invoke port_v ~who:pid (Port_cas (port, lowerport))) (* line 9 *);
       let lowerpublevel = Q_cas.read t.lastpub.(i).(w - 1) (* line 10 *) in
       let publevel = Q_cas.read lastpub_v (* line 11 *) in
-      Eff.local (t.name ^ ".12");
+      local t ".12";
       if lowerpublevel > publevel (* line 12 *) then
         ignore
           (Q_cas.cas lastpub_v ~who:pid ~expected:publevel ~desired:lowerpublevel)
@@ -134,28 +153,28 @@ let decide t ~pid input0 =
     while !result = None && !level <= t.l (* line 14 *) do
       (match Shared.read t.outval.(i).(t.l) (* line 15 *) with
       | Some r ->
-        Eff.local (t.name ^ ".16");
+        local t ".16";
         result := Some r (* line 16 *)
       | None ->
         let port = Chain.read port_v (* line 17 *) in
-        Eff.local (t.name ^ ".18");
+        local t ".18";
         level := ((port - 1) / numports) + 1 (* line 18 *);
         let claimed_port =
-          Eff.local (t.name ^ ".19");
+          local t ".19";
           if !prevlevel = !level (* line 19 *) then begin
-            Eff.local (t.name ^ ".20");
+            local t ".20";
             let newport = port + numports (* line 20 *) in
             if Chain.invoke port_v ~who:pid (Port_cas (port, newport + 1)) = 1
                (* line 21 *)
             then begin
-              Eff.local (t.name ^ ".22");
+              local t ".22";
               newport (* line 22 *)
             end
             else Chain.invoke port_v ~who:pid Fetch_inc (* line 23 *)
           end
           else Chain.invoke port_v ~who:pid Fetch_inc (* line 25 *)
         in
-        Eff.local (t.name ^ ".26");
+        local t ".26";
         level := ((claimed_port - 1) / numports) + 1 (* line 26 *);
         (* Access-failure instrumentation (Sec. 4.2): at this moment every
            port of every level below [level] on this processor has been
@@ -189,7 +208,7 @@ let decide t ~pid input0 =
               end
             done);
         let publevel = Q_cas.read lastpub_v (* line 27 *) in
-        Eff.local (t.name ^ ".28");
+        local t ".28";
         if publevel <> 0 then begin
           match Shared.read t.outval.(i).(publevel) (* line 28 *) with
           | Some out -> input := out
@@ -212,7 +231,7 @@ let decide t ~pid input0 =
             ignore (Q_cas.cas lastpub_v ~who:pid ~expected:publevel ~desired:!level)
             (* line 33 *)
           end;
-          Eff.local (t.name ^ ".34");
+          local t ".34";
           prevlevel := !level (* line 34 *)
         end)
     done;

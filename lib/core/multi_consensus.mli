@@ -40,6 +40,15 @@ val make :
     correctness requires at least the Lemma 3 value.
     @raise Invalid_argument if [consensus_number < processors]. *)
 
+val named :
+  ?levels_override:int ->
+  config:Hwf_sim.Config.t ->
+  name:Hwf_sim.Shared.Name.t ->
+  consensus_number:int ->
+  unit ->
+  'a t
+(** {!make} with a name rendered on first use ({!Hwf_sim.Shared.Name}). *)
+
 val decide : 'a t -> pid:int -> 'a -> 'a
 (** Propose a value; returns the common decision. Wait-free: the number
     of own statements is O(L) with the quantum of Theorem 4. *)

@@ -6,7 +6,8 @@ let apply s = function
   | Cas (expected, desired) -> if s = expected then (desired, true) else (s, false)
   | Store v -> (v, true)
 
-let make name init = Chain.make ~name ~init ~apply
+let named name init = Chain.named ~name ~init ~apply
+let make name init = named (Hwf_sim.Shared.Name.v name) init
 
 let cas t ~who ~expected ~desired = Chain.invoke t ~who (Cas (expected, desired))
 

@@ -14,6 +14,9 @@ type 'a t
 
 val make : string -> 'a -> 'a t
 
+val named : Hwf_sim.Shared.Name.t -> 'a -> 'a t
+(** {!make} with a name rendered on first use ({!Hwf_sim.Shared.Name}). *)
+
 val cas : 'a t -> who:int -> expected:'a -> desired:'a -> bool
 (** Atomically: if the current value equals [expected], replace it with
     [desired] and return [true]; otherwise return [false]. *)

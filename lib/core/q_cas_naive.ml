@@ -9,7 +9,12 @@ type 'a t = {
   l : int Shared.t;  (* announce: last process to start an operation *)
 }
 
-let make name init = { x = Shared.make (name ^ ".X") init; l = Shared.make (name ^ ".L") (-1) }
+let make name init =
+  let name = Shared.Name.v name in
+  {
+    x = Shared.named (Shared.Name.dot name "X") init;
+    l = Shared.named (Shared.Name.dot name "L") (-1);
+  }
 
 let rec cas t ~who ~expected ~desired =
   Shared.write t.l who (* 1: announce *);

@@ -1,13 +1,13 @@
 open Hwf_sim
 
-type t = { name : string; slots : int Uni_consensus.t Vec.t }
+type t = { slot_name : Shared.Name.t; slots : int Uni_consensus.t Vec.t }
 
-let make name = { name; slots = Vec.create () }
+let make name = { slot_name = Shared.Name.dot (Shared.Name.v name) "slot"; slots = Vec.create () }
 
 let slot t i =
   while Vec.length t.slots <= i do
     Vec.push t.slots
-      (Uni_consensus.make (Printf.sprintf "%s.slot[%d]" t.name (Vec.length t.slots + 1)))
+      (Uni_consensus.named (Shared.Name.idx t.slot_name (Vec.length t.slots + 1)))
   done;
   Vec.get t.slots i
 

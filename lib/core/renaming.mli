@@ -22,5 +22,10 @@ val acquire : t -> pid:int -> int
 (** Returns this process's name, [>= 1]. At most one call per process
     (one-shot renaming; repeated calls would consume fresh names). *)
 
+val slot : t -> int -> int Uni_consensus.t
+(** Harness inspection: [slot t i] is the consensus object
+    [name.slot[i+1]] deciding the owner of name [i + 1], allocating it
+    (and every earlier one) if needed; not a statement. *)
+
 val names_assigned : t -> int
 (** Harness inspection: slots decided so far; not a statement. *)

@@ -1,10 +1,18 @@
 open Hwf_sim
 
-type 'a t = { name : string; p : 'a option Shared.t array }
+type 'a t = { mutable name : Shared.Name.t; p : 'a option Shared.t array }
 
-let make name = { name; p = Shared.array (name ^ ".P") 3 (fun _ -> None) }
+let named name = { name; p = Shared.array (Shared.Name.dot name "P") 3 (fun _ -> None) }
+let make name = named (Shared.Name.v name)
 
-let name t = t.name
+(* Rendered once, like a variable's name (see {!Shared.name}). *)
+let name t =
+  match t.name with
+  | Shared.Name.Lit s -> s
+  | n ->
+    let s = Shared.Name.render n in
+    t.name <- Shared.Name.v s;
+    s
 
 let statements_per_decide = 8
 
@@ -19,11 +27,11 @@ let statements_per_decide = 8
      7: return P[3]
    Unrolled: 1 + 3*2 + 1 = 8 statements. *)
 let decide t value =
-  Eff.local (t.name ^ ".v:=val");
+  Eff.local (name t ^ ".v:=val");
   let v = ref value in
   for i = 0 to 2 do
     match Shared.read t.p.(i) with
-    | Some w -> Eff.local (t.name ^ ".v:=w"); v := w
+    | Some w -> Eff.local (name t ^ ".v:=w"); v := w
     | None -> Shared.write t.p.(i) (Some !v)
   done;
   match Shared.read t.p.(2) with

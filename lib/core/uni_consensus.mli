@@ -17,6 +17,10 @@ type 'a t
 
 val make : string -> 'a t
 
+val named : Hwf_sim.Shared.Name.t -> 'a t
+(** {!make} with a name rendered on first use ({!Hwf_sim.Shared.Name}).
+    Its registers are named [name.P[1]] … [name.P[3]]. *)
+
 val name : 'a t -> string
 
 val decide : 'a t -> 'a -> 'a

@@ -1,6 +1,6 @@
 open Hwf_sim
 
-type 'v factory = string -> pid:int -> 'v -> 'v
+type 'v factory = Shared.Name.t -> pid:int -> 'v -> 'v
 
 (* One list cell: the consensus deciding the k-th operation, plus a cache
    register mirroring the decision (every writer writes the same decided
@@ -16,7 +16,7 @@ type ('s, 'r) cursor = {
 }
 
 type ('s, 'op, 'r) t = {
-  name : string;
+  cell_name : Shared.Name.t;  (* name.cell *)
   n : int;
   init : 's;
   apply : 's -> 'op -> 's * 'r;
@@ -28,13 +28,14 @@ type ('s, 'op, 'r) t = {
 }
 
 let make ~name ~n ~init ~apply ~factory =
+  let name = Shared.Name.v name in
   {
-    name;
+    cell_name = Shared.Name.dot name "cell";
     n;
     init;
     apply;
     factory;
-    announce = Shared.array (name ^ ".announce") n (fun _ -> None);
+    announce = Shared.array (Shared.Name.dot name "announce") n (fun _ -> None);
     cells = Vec.create ();
     cursors = Hashtbl.create 8;
     seqs = Array.make n 0;
@@ -42,11 +43,9 @@ let make ~name ~n ~init ~apply ~factory =
 
 let cell t k =
   while Vec.length t.cells <= k do
-    let idx = Vec.length t.cells in
-    let cname = Printf.sprintf "%s.cell[%d]" t.name idx in
+    let cname = Shared.Name.idx t.cell_name (Vec.length t.cells) in
     let decide = t.factory cname in
-    Vec.push t.cells
-      { decide; cache = Shared.make (cname ^ ".cache") None }
+    Vec.push t.cells { decide; cache = Shared.named (Shared.Name.dot cname "cache") None }
   done;
   Vec.get t.cells k
 

@@ -23,9 +23,10 @@
 
 type ('s, 'op, 'r) t
 
-type 'v factory = string -> pid:int -> 'v -> 'v
+type 'v factory = Hwf_sim.Shared.Name.t -> pid:int -> 'v -> 'v
 (** [factory name ~pid v] proposes [v] to the consensus object it names
-    (created on first use) and returns the decision. See
+    (created on first use) and returns the decision. The cell's name
+    ([name.cell[k]]) is handed over unrendered ({!Hwf_sim.Shared.Name}). See
     {!Wf_objects.uni_factory} and {!Wf_objects.multi_factory}. *)
 
 val make :

@@ -1,15 +1,15 @@
 open Hwf_objects
 
 let uni_factory () name =
-  let obj = Uni_consensus.make name in
+  let obj = Uni_consensus.named name in
   fun ~pid:_ v -> Uni_consensus.decide obj v
 
 let multi_factory ~config ~consensus_number () name =
-  let obj = Multi_consensus.make ~config ~name ~consensus_number () in
+  let obj = Multi_consensus.named ~config ~name ~consensus_number () in
   fun ~pid v -> Multi_consensus.decide obj ~pid v
 
 let hw_factory () name =
-  let obj = Cons_obj.make name in
+  let obj = Cons_obj.named name in
   fun ~pid:_ v ->
     match Cons_obj.propose obj v with
     | Some d -> d

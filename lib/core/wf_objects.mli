@@ -6,7 +6,7 @@
     consensus on a uniprocessor, Fig. 7 consensus on [P] processors from
     [P]-consensus objects, or hardware consensus as a baseline. *)
 
-val uni_factory : unit -> string -> pid:int -> 'v -> 'v
+val uni_factory : unit -> Hwf_sim.Shared.Name.t -> pid:int -> 'v -> 'v
 (** Consensus cells from the Fig. 3 read/write algorithm — correct on a
     hybrid-scheduled uniprocessor with [Q >= 8·(cells touched per op)]
     headroom. *)
@@ -15,14 +15,14 @@ val multi_factory :
   config:Hwf_sim.Config.t ->
   consensus_number:int ->
   unit ->
-  string ->
+  Hwf_sim.Shared.Name.t ->
   pid:int ->
   'v ->
   'v
 (** Consensus cells from the Fig. 7 algorithm over [C]-consensus
     objects. *)
 
-val hw_factory : unit -> string -> pid:int -> 'v -> 'v
+val hw_factory : unit -> Hwf_sim.Shared.Name.t -> pid:int -> 'v -> 'v
 (** Consensus cells from hardware consensus objects of infinite consensus
     number (baseline / oracle). *)
 

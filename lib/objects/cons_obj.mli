@@ -16,6 +16,9 @@ val make : ?consensus_number:int -> string -> 'a t
 (** [make name] creates an undecided object. [consensus_number] defaults
     to [max_int] (an object of infinite consensus number, e.g. C&S). *)
 
+val named : ?consensus_number:int -> Hwf_sim.Shared.Name.t -> 'a t
+(** {!make} with a name rendered on first use ({!Hwf_sim.Shared.Name}). *)
+
 val consensus_number : 'a t -> int
 
 val propose : 'a t -> 'a -> 'a option

@@ -45,16 +45,16 @@ let report ~var ~kind =
   | None -> ()
   | Some f -> f { var; kind; instrumentation = c.instr_depth > 0 }
 
-let harness_access ~var ~kind =
+let harness_access render name ~kind =
   let c = ctx () in
   if c.in_process && c.instr_depth = 0 then begin
     match c.tap with
-    | Some f -> f { var; kind; instrumentation = false }
+    | Some f -> f { var = render name; kind; instrumentation = false }
     | None ->
       Fmt.invalid_arg "Shared.%a: harness-only access to %s from process code"
-        pp_kind kind var
+        pp_kind kind (render name)
   end
   else
     match c.tap with
     | None -> ()
-    | Some f -> f { var; kind; instrumentation = c.instr_depth > 0 }
+    | Some f -> f { var = render name; kind; instrumentation = c.instr_depth > 0 }

@@ -60,8 +60,10 @@ val report : var:string -> kind:access_kind -> unit
 (** Report a legitimate (announced) store access to the tap, if one is
     installed. {b Shared use only.} *)
 
-val harness_access : var:string -> kind:access_kind -> unit
-(** Police one {!Shared.peek}/{!Shared.poke}: report it to the tap when
-    one is installed; otherwise raise [Invalid_argument] if called from
-    process code outside an {!instrumentation} bracket. {b Shared use
-    only.} *)
+val harness_access : ('n -> string) -> 'n -> kind:access_kind -> unit
+(** [harness_access render name ~kind] polices one
+    {!Shared.peek}/{!Shared.poke}: report it to the tap when one is
+    installed; otherwise raise [Invalid_argument] if called from process
+    code outside an {!instrumentation} bracket. The variable's name is
+    [render name], computed only when the access is reported or refused,
+    so a quiet peek renders nothing. {b Shared use only.} *)

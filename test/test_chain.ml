@@ -168,6 +168,48 @@ let test_chain_read_is_snapshot () =
   ignore (Util.run ~config ~policy:Policy.first bodies);
   Util.checki "snapshot" 1 !seen
 
+(* Cell names are rendered on first use but must carry the index the
+   cell had when it was allocated: render early cells only after later
+   ones have grown the vectors, in reverse allocation order. *)
+let test_names_capture_creation_indices () =
+  let log = Chain.make ~name:"log" ~init:0 ~apply:(fun s () -> (s + 1, s)) in
+  let v1 = Chain.val_cell log 1 in
+  let s0 = Chain.slot_cell log 0 in
+  let v3 = Chain.val_cell log 3 in
+  let s2 = Chain.slot_cell log 2 in
+  let r = Renaming.make "names" in
+  let r0 = Renaming.slot r 0 in
+  let r2 = Renaming.slot r 2 in
+  let r4 = Renaming.slot r 4 in
+  let tapped = ref [] in
+  Runtime.with_tap
+    (fun a -> tapped := a.Runtime.var :: !tapped)
+    (fun () -> ignore (Uni_consensus.peek s0));
+  Alcotest.(check (list string))
+    "names rendered in reverse equal the eagerly formatted ones"
+    [
+      "names.slot[5]";
+      "names.slot[3]";
+      "names.slot[1]";
+      "log.slot[2]";
+      "log.val[3]";
+      "log.val[2]";
+      "log.slot[0].P[3]";
+      "log.slot[0]";
+      "log.val[1]";
+    ]
+    [
+      Uni_consensus.name r4;
+      Uni_consensus.name r2;
+      Uni_consensus.name r0;
+      Uni_consensus.name s2;
+      Shared.name v3;
+      Shared.name (Chain.val_cell log 2);
+      List.hd !tapped;
+      Uni_consensus.name s0;
+      Shared.name v1;
+    ]
+
 let () =
   Alcotest.run "chain"
     [
@@ -177,6 +219,8 @@ let () =
           Alcotest.test_case "fai sequence" `Quick test_qfai_sequence;
           Alcotest.test_case "custom state machine" `Quick test_chain_custom_state_machine;
           Alcotest.test_case "read snapshot" `Quick test_chain_read_is_snapshot;
+          Alcotest.test_case "names capture creation-time indices" `Quick
+            test_names_capture_creation_indices;
         ] );
       ( "linearizability",
         [

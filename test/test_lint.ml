@@ -96,6 +96,20 @@ let test_peek_guard_raises () =
   (* Outside process code the same peek is the supported harness path. *)
   Alcotest.(check int) "harness peek still works" 0 (Shared.peek x)
 
+(* The refusal names the element, although a peek renders nothing
+   until it is refused or tapped: [x[2]] is first rendered here. *)
+let test_peek_guard_names_array_element () =
+  let config =
+    Config.uniprocessor ~quantum:8 ~levels:1 [ Proc.make ~pid:0 ~processor:0 ~priority:1 () ]
+  in
+  let xs = Shared.array (Shared.Name.v "x") 3 (fun _ -> 0) in
+  let bodies =
+    [| (fun () -> Eff.invocation "op" (fun () -> ignore (Shared.peek xs.(1)))) |]
+  in
+  Alcotest.check_raises "peek rejected, element named"
+    (Invalid_argument "Shared.peek: harness-only access to x[2] from process code")
+    (fun () -> ignore (Engine.run ~config ~policy:Policy.first bodies))
+
 let test_poke_guard_raises () =
   let config =
     Config.uniprocessor ~quantum:8 ~levels:1 [ Proc.make ~pid:0 ~processor:0 ~priority:1 () ]
@@ -218,6 +232,8 @@ let () =
       ( "guard",
         [
           Alcotest.test_case "peek raises in process code" `Quick test_peek_guard_raises;
+          Alcotest.test_case "peek refusal names the array element" `Quick
+            test_peek_guard_names_array_element;
           Alcotest.test_case "poke raises in process code" `Quick test_poke_guard_raises;
           Alcotest.test_case "instrumentation escape hatch" `Quick
             test_instrumentation_escape_hatch;
